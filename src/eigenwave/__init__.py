@@ -22,7 +22,7 @@ from .simulate import (MixingSpec, NoiseSpec, OfBmSpec, SynthesisDiagnostics,
 from .special import chi2_cdf, chi2_quantile, gamma_p
 from .spectrum import (LogEigenSpectrum, WaveletCovariance, jacobi_eigen,
                        log_eigen_spectrum, spectrum_from_pyramid, sym_eigen,
-                       wavelet_covariance, write_spectrum_csv)
+                       wavelet_covariance)
 from .wavelets import (DetailPyramid, FilterPair, make_filter_bank,
                        pyramid_transform, valid_count)
 
@@ -44,5 +44,4 @@ __all__ = [
     "scaling_exponents", "spectrum_from_pyramid", "summarize", "sym_eigen",
     "synthesize_noise", "synthesize_ofbm_increments", "valid_count",
     "wavelet_covariance", "write_series_binary", "write_series_csv",
-    "write_spectrum_csv",
 ]

@@ -14,18 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, build_mc_config, build_mixing, build_model,
-                     build_noise, observation_dim, preset_config,
-                     resolve_config)
+from .config import ConfigError, build_mc_config, preset_config, resolve_config
 from .estimators import OctaveRangeError, estimate_series, write_result_csv, write_result_json
-from .montecarlo import (gamma_plot, ks_subset_average, run_replications,
-                         summarize, write_gamma_csv, write_ks_json,
-                         write_records_ndjson, write_sweep_csv)
+from .montecarlo import (draw_observation, gamma_plot, ks_subset_average,
+                         run_replications, summarize, write_gamma_csv,
+                         write_ks_json, write_records_ndjson, write_sweep_csv)
 from .series import (MultivariateSeries, read_series_binary, read_series_csv,
                      write_series_binary, write_series_csv)
-from .simulate import (assemble_observations, cumulative_path,
-                       make_mixing_matrix, synthesize_noise,
-                       synthesize_ofbm_increments)
 from .wavelets import make_filter_bank
 
 EXIT_CONFIG = 2
@@ -90,26 +85,10 @@ def _write_series(series: MultivariateSeries, stem: str, cfg: dict, out: Path) -
         write_series_binary(series, out / f"{stem}.bin")
 
 
-def _synthesize(cfg: dict):
-    """Draw one realization of the model; returns (Y, X, Z, P, diagnostics)."""
-    model_spec = build_model(cfg)
-    n = cfg["model"]["n"]
-    p = observation_dim(cfg)
-    mixing_spec = build_mixing(cfg, p)
-    noise_spec = build_noise(cfg)
-    rng = np.random.default_rng([cfg["mc"]["master_seed"], 0])
-    increments, diagnostics = synthesize_ofbm_increments(model_spec, n, rng)
-    latent = cumulative_path(increments)
-    mixing = make_mixing_matrix(mixing_spec, rng)
-    noise = synthesize_noise(noise_spec, p, n, rng)
-    observed = assemble_observations(mixing, latent, noise)
-    return observed, latent, noise, mixing, diagnostics
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
-    observed, latent, noise, mixing, diagnostics = _synthesize(cfg)
+    observed, latent, noise, mixing, diagnostics = draw_observation(build_mc_config(cfg), 0)
     if diagnostics.warning:
         print(json.dumps({"warning": diagnostics.warning}), file=sys.stderr)
     _write_series(observed, "series_y", cfg, out)
@@ -133,7 +112,7 @@ def cmd_estimate(args) -> int:
     if args.data:
         series = _read_series(args.data)
     else:
-        series, _, _, _, _ = _synthesize(cfg)
+        series = draw_observation(build_mc_config(cfg), 0)[0]
     analysis = cfg["analysis"]
     filter_pair = make_filter_bank(analysis["family"], analysis["n_vanishing"])
     try:

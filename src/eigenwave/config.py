@@ -1,4 +1,4 @@
-"""Run configuration: JSON schema, defaults, presets and object builders.
+"""Run configuration: JSON schema, defaults, presets and the study builder.
 
 A run config is a JSON document with sections model / analysis / mc / io.
 Validation is strict: unknown keys anywhere are rejected, so typos fail
@@ -11,8 +11,10 @@ import copy
 import jsonschema
 import numpy as np
 
+from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA
 from .montecarlo import DEFAULT_KAPPA_GRID, McConfig
-from .simulate import MixingSpec, NoiseSpec, OfBmSpec
+from .simulate import NoiseSpec, OfBmSpec
+from .spectrum import DEFAULT_EIGEN_FLOOR
 
 
 class ConfigError(ValueError):
@@ -127,9 +129,9 @@ _DEFAULTS = {
     "analysis": {
         "family": "daubechies",
         "n_vanishing": 2,
-        "weights": "count",
-        "eigen_floor": 1e-10,
-        "kappa": 0.3,
+        "weights": COUNT_WEIGHTED,
+        "eigen_floor": DEFAULT_EIGEN_FLOOR,
+        "kappa": DEFAULT_KAPPA,
         "kappa_grid": list(DEFAULT_KAPPA_GRID),
         "r": None,
     },
@@ -219,33 +221,24 @@ def point_covariance(model: dict) -> np.ndarray:
     return np.asarray(spec, dtype=np.float64)
 
 
-def build_model(cfg: dict) -> OfBmSpec:
-    model = cfg["model"]
-    return OfBmSpec(hurst=tuple(model["hurst"]), point_cov=point_covariance(model))
+def build_mc_config(cfg: dict) -> McConfig:
+    """The study a resolved config describes; simulate and estimate draw its
+    replication 0.
 
-
-def build_noise(cfg: dict) -> NoiseSpec:
-    noise = cfg["model"]["noise"]
-    return NoiseSpec(kind=noise["kind"], variance=noise.get("variance", 1.0),
-                     ar=tuple(noise.get("ar", ())), ma=tuple(noise.get("ma", ())))
-
-
-def observation_dim(cfg: dict) -> int:
-    """Explicit model.p, or the ratio-derived dimension round(ratio * n / 2^j2)."""
-    model = cfg["model"]
+    The observation dimension is model.p if given, else
+    round(mc.ratio * n / 2^j2).
+    """
+    model, analysis, mc = cfg["model"], cfg["analysis"], cfg["mc"]
+    spec = OfBmSpec(hurst=tuple(model["hurst"]), point_cov=point_covariance(model))
     if "p" in model:
-        return model["p"]
-    mc = cfg["mc"]
-    if "ratio" not in mc:
+        p = model["p"]
+    elif "ratio" in mc:
+        p = int(round(mc["ratio"] * model["n"] / 2 ** analysis["j2"]))
+    else:
         raise ConfigError(
             "model.p: give model.p explicitly or set mc.ratio to derive it",
             path="model.p",
         )
-    return int(round(mc["ratio"] * model["n"] / 2 ** cfg["analysis"]["j2"]))
-
-
-def build_mixing(cfg: dict, p: int) -> MixingSpec:
-    model = cfg["model"]
     mixing = model["mixing"]
     matrix = None
     if mixing["kind"] == "explicit":
@@ -255,25 +248,16 @@ def build_mixing(cfg: dict, p: int) -> MixingSpec:
                 f"model.mixing.matrix: {matrix.shape[0]} rows, expected p={p}",
                 path="model.mixing.matrix",
             )
-    return MixingSpec(kind=mixing["kind"], p=p, r=model["r"], matrix=matrix)
-
-
-def build_mc_config(cfg: dict) -> McConfig:
-    model, analysis, mc = cfg["model"], cfg["analysis"], cfg["mc"]
-    if "ratio" not in mc:
-        raise ConfigError("mc.ratio: required for Monte Carlo runs", path="mc.ratio")
-    mixing = model["mixing"]
-    matrix = None
-    if mixing["kind"] == "explicit":
-        matrix = np.asarray(mixing["matrix"], dtype=np.float64)
+    noise = model["noise"]
     return McConfig(
-        model=build_model(cfg),
+        model=spec,
         mixing_kind=mixing["kind"],
-        noise=build_noise(cfg),
+        noise=NoiseSpec(kind=noise["kind"], variance=noise.get("variance", 1.0),
+                        ar=tuple(noise.get("ar", ())), ma=tuple(noise.get("ma", ()))),
         n=model["n"],
         j1=analysis["j1"],
         j2=analysis["j2"],
-        ratio=mc["ratio"],
+        p=p,
         replications=mc["replications"],
         master_seed=mc["master_seed"],
         family=analysis["family"],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .series import MultivariateSeries
 from .spectrum import DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, spectrum_from_pyramid
-from .wavelets import FilterPair, pyramid_transform, valid_count
+from .wavelets import FilterPair, pyramid_transform
 
 WEIGHT_TOL = 1e-12
 DEFAULT_KAPPA = 0.3
@@ -236,14 +236,6 @@ def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
     h = hurst_exponents(ell, r if r is not None else r_est)
     return EstimationResult(ell_hat=ell, h_hat=h, delta=diag, r_hat=r_est,
                             kappa=kappa, octaves=(j1, j2), weights=weights)
-
-
-def feasible_octave(n: int, filter_length: int) -> int:
-    """Deepest octave with at least one border-free coefficient."""
-    j = 0
-    while valid_count(n, j + 1, filter_length) >= 1:
-        j += 1
-    return j
 
 
 def write_result_csv(result: EstimationResult, path) -> None:

@@ -33,16 +33,11 @@ CONDITION_LIMIT = 1e12
 DEFAULT_KAPPA_GRID = tuple(round(0.025 * k, 6) for k in range(1, 40))
 
 
-def default_kappa_grid() -> np.ndarray:
-    return np.array(DEFAULT_KAPPA_GRID)
-
-
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo study: model, analysis settings and replication plan.
 
-    The observation dimension p is derived from the ratio target:
-    p = round(ratio * n / 2^j2), and must be at least the latent dimension.
+    p is the observation dimension and must be at least the latent dimension.
     """
 
     model: OfBmSpec
@@ -51,7 +46,7 @@ class McConfig:
     n: int
     j1: int
     j2: int
-    ratio: float
+    p: int
     replications: int
     master_seed: int
     family: str = "daubechies"
@@ -65,20 +60,13 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
-        if self.ratio <= 0:
-            raise ValueError(f"ratio target must be positive, got {self.ratio}")
         if self.j1 < 1 or self.j1 > self.j2:
             raise ValueError(f"need 1 <= j1 <= j2, got ({self.j1}, {self.j2})")
         if self.p < self.model.r:
             raise ValueError(
-                f"derived dimension p={self.p} below latent dimension r={self.model.r}; "
-                f"increase the ratio target or n"
+                f"observation dimension p={self.p} below latent dimension r={self.model.r}"
             )
         object.__setattr__(self, "kappa_grid", tuple(float(k) for k in self.kappa_grid))
-
-    @property
-    def p(self) -> int:
-        return int(round(self.ratio * self.n / 2 ** self.j2))
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,12 @@ class ReplicationRecord:
     clipped_energy: float
 
 
-def _replicate(config: McConfig, index: int) -> ReplicationRecord:
+def draw_observation(config: McConfig, index: int):
+    """Draw realization `index` of the study's model, Y = P X + Z, from the
+    generator seeded with (master seed, index).
+
+    Returns (Y, X, Z, P, synthesis diagnostics).
+    """
     rng = np.random.default_rng([config.master_seed, index])
     increments, diagnostics = synthesize_ofbm_increments(config.model, config.n, rng)
     latent = cumulative_path(increments)
@@ -103,6 +96,11 @@ def _replicate(config: McConfig, index: int) -> ReplicationRecord:
     mixing = make_mixing_matrix(mixing_spec, rng)
     noise = synthesize_noise(config.noise, config.p, config.n, rng)
     observed = assemble_observations(mixing, latent, noise)
+    return observed, latent, noise, mixing, diagnostics
+
+
+def _replicate(config: McConfig, index: int) -> ReplicationRecord:
+    observed, _, _, _, diagnostics = draw_observation(config, index)
     filter_pair = make_filter_bank(config.family, config.n_vanishing)
     est = estimate_series(observed, filter_pair, config.j1, config.j2,
                           scheme=config.weight_scheme, floor=config.eigen_floor,
@@ -264,7 +262,7 @@ def summarize(records, kappa_grid=None, true_hurst=None) -> dict:
         stats["bias"] = [float(x) for x in h.mean(axis=0) - truth]
         true_r = truth.size
     out["h"] = stats
-    grid = default_kappa_grid() if kappa_grid is None else np.asarray(kappa_grid)
+    grid = np.asarray(DEFAULT_KAPPA_GRID if kappa_grid is None else kappa_grid)
     deltas = np.array([rec.delta for rec in good])
     out["rhat_sweep"] = kappa_sweep(deltas, grid, true_r=true_r)
     return out

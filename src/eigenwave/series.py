@@ -8,7 +8,7 @@ little-endian float64 data).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class MultivariateSeries:
     """A p x n matrix of observations, rows = components, columns = time."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

@@ -206,17 +206,12 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
             f"circulant embedding clipped {clip_energy:.3e} relative spectral "
             f"energy; output covariance is approximate"
         )
-    diagnostics = SynthesisDiagnostics(clip_energy, exact, warning)
-    meta = {"clipped_energy": clip_energy, "exact": exact}
-    if warning:
-        meta["warning"] = warning
-    return MultivariateSeries(increments.T, meta=meta), diagnostics
+    return MultivariateSeries(increments.T), SynthesisDiagnostics(clip_energy, exact, warning)
 
 
 def cumulative_path(increments: MultivariateSeries) -> MultivariateSeries:
     """Integrate an increment series into the self-similar path it spans."""
-    return MultivariateSeries(np.cumsum(increments.values, axis=1),
-                              meta=dict(increments.meta))
+    return MultivariateSeries(np.cumsum(increments.values, axis=1))
 
 
 def make_mixing_matrix(spec: MixingSpec, seed=None) -> np.ndarray:

@@ -155,14 +155,3 @@ def spectrum_from_pyramid(pyramid: DetailPyramid, j1: int, j2: int,
     covs = [wavelet_covariance(j, pyramid.detail(j)) for j in range(j1, j2 + 1)]
     return log_eigen_spectrum(covs, floor=floor)
 
-
-def write_spectrum_csv(spectrum: LogEigenSpectrum, path) -> None:
-    """CSV export with columns j, i, lambda, log2_lambda, zero_flag."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("j,i,lambda,log2_lambda,zero_flag\n")
-        for row, j in enumerate(spectrum.octaves):
-            for i in range(spectrum.p):
-                lam = repr(float(spectrum.eigenvalues[row, i]))
-                flagged = bool(spectrum.zero_flags[row, i])
-                log2 = "" if flagged else repr(float(spectrum.log2_eigenvalues[row, i]))
-                fh.write(f"{j},{i + 1},{lam},{log2},{int(flagged)}\n")

@@ -139,7 +139,7 @@ def test_criterion_06_separation():
                        point_cov=toeplitz_cov([1.0, 0.2, 0.2, 0.3, 0.2, 0.3])),
         mixing_kind="canonical",
         noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=2 ** 16, j1=6, j2=9, ratio=0.25,
+        n=2 ** 16, j1=6, j2=9, p=32,
         replications=50, master_seed=106,
     )
     assert config.p == 32
@@ -160,7 +160,7 @@ def test_criterion_07_effective_dimension_plateau():
         model=OfBmSpec(hurst=(0.25, 0.5, 0.75), point_cov=np.eye(3)),
         mixing_kind="random_unit_columns",
         noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=2 ** 12, j1=4, j2=6, ratio=0.5,
+        n=2 ** 12, j1=4, j2=6, p=32,
         replications=200, master_seed=41,
     )
     assert config.p == 32
@@ -191,7 +191,7 @@ def test_criterion_08_gaussianity():
                        point_cov=toeplitz_cov([1.0, 0.2, 0.2, 0.3, 0.2, 0.3])),
         mixing_kind="canonical",
         noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=2 ** 14, j1=5, j2=7, ratio=0.5,
+        n=2 ** 14, j1=5, j2=7, p=64,
         replications=500, master_seed=314,
     )
     assert config.p == 64

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eigenwave.cli import main
-from eigenwave.config import preset_config, resolve_config
+from eigenwave.config import build_mc_config, preset_config, resolve_config
+from eigenwave.montecarlo import draw_observation
 from eigenwave.series import read_series_binary, read_series_csv
 
 MINIMAL = {
@@ -246,6 +247,61 @@ class TestMc:
     def test_missing_config_and_preset(self, capsys):
         code, _, err = run(["mc"], capsys)
         assert code == 2
+
+    def test_model_p_wins_over_ratio(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["model"]["p"] = 2  # mc.ratio 1.0 alone would give p = 1024 / 2^5 = 32
+        doc["model"]["noise"] = {"kind": "iid_gaussian"}
+        out = tmp_path / "out"
+        code, _, err = run(["mc", "--config", write_config(tmp_path, doc),
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        records = [json.loads(line) for line in (out / "records.ndjson").read_text().splitlines()]
+        assert len(records) == 4
+        assert all(len(rec["delta"]) == 2 for rec in records)
+
+    def test_model_p_without_ratio(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MINIMAL))
+        del doc["mc"]["ratio"]
+        code, _, err = run(["mc", "--config", write_config(tmp_path, doc),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_explicit_matrix_row_count_is_config_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["model"].update({"p": 3, "mixing": {"kind": "explicit", "matrix": [[1.0], [0.0]]}})
+    code, _, err = run([command, "--config", write_config(tmp_path, doc),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["path"] == "model.mixing.matrix"
+
+
+class TestSharedDraw:
+    def test_simulate_is_replication_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        code, _, err = run(["simulate", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 0, err
+        observed = draw_observation(build_mc_config(resolve_config(MINIMAL)), 0)[0]
+        assert read_series_binary(out / "series_y.bin").values.tobytes() == observed.values.tobytes()
+
+    def test_estimate_draws_what_simulate_writes(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["model"].update({"r": 2, "hurst": [0.3, 0.8], "p": 4,
+                             "mixing": {"kind": "random_unit_columns"},
+                             "noise": {"kind": "iid_gaussian"}})
+        cfg = write_config(tmp_path, doc)
+        sim, drawn, read = (tmp_path / name for name in ("sim", "drawn", "read"))
+        code, _, err = run(["simulate", "--config", cfg, "--out", str(sim)], capsys)
+        assert code == 0, err
+        code, _, err = run(["estimate", "--config", cfg, "--out", str(drawn)], capsys)
+        assert code == 0, err
+        code, _, err = run(["estimate", "--config", cfg, "--data", str(sim / "series_y.bin"),
+                            "--out", str(read)], capsys)
+        assert code == 0, err
+        assert (drawn / "estimate.json").read_bytes() == (read / "estimate.json").read_bytes()
 
 
 class TestPresets:

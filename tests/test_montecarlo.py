@@ -20,7 +20,7 @@ def small_config(**overrides):
         n=1024,
         j1=3,
         j2=5,
-        ratio=0.25,  # p = round(0.25 * 1024/32) = 8
+        p=8,
         replications=6,
         master_seed=99,
     )
@@ -186,8 +186,8 @@ class TestRunReplications:
         # univariate pipeline on the same latent realization
         model = OfBmSpec(hurst=(0.6,), point_cov=np.eye(1))
         cfg = small_config(model=model, mixing_kind="canonical",
-                           noise=NoiseSpec("none"), ratio=1 / 32,
-                           replications=1)  # p = round(1024/32/32) = 1
+                           noise=NoiseSpec("none"), p=1,
+                           replications=1)
         assert cfg.p == 1
         record = run_replications(cfg)[0]
         rng = np.random.default_rng([cfg.master_seed, 0])
@@ -199,7 +199,7 @@ class TestRunReplications:
 
     def test_derived_dimension_validated(self):
         with pytest.raises(ValueError, match="below latent"):
-            small_config(ratio=1 / 64)  # p = 0 < r
+            small_config(p=0)
 
 
 class TestSummarize:

@@ -141,7 +141,6 @@ class TestSynthesis:
         assert not diag.exact
         assert diag.clipped_energy > 1e-6
         assert diag.warning is not None
-        assert series.meta["warning"] == diag.warning
 
 
 class TestMixing:

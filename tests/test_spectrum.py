@@ -3,7 +3,7 @@ import pytest
 
 from eigenwave.spectrum import (jacobi_eigen, log_eigen_spectrum,
                                 spectrum_from_pyramid, sym_eigen,
-                                wavelet_covariance, write_spectrum_csv)
+                                wavelet_covariance)
 from eigenwave.series import MultivariateSeries
 from eigenwave.wavelets import make_filter_bank, pyramid_transform
 
@@ -148,14 +148,3 @@ class TestLogEigenSpectrum:
         spec = spectrum_from_pyramid(pyr, 2, 4)
         assert (spec.j1, spec.j2) == (2, 4)
         assert spec.counts == tuple(pyr.counts[j] for j in (2, 3, 4))
-
-    def test_csv_export(self, tmp_path):
-        spec = self._spectrum_from_eigs([[1e-14, 4.0], [2.0, 8.0]], j1=3)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(spec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "j,i,lambda,log2_lambda,zero_flag"
-        assert len(lines) == 1 + 4
-        first = lines[1].split(",")
-        assert first[0] == "3" and first[1] == "1"
-        assert first[3] == "" and first[4] == "1"  # flagged: no log, flag set
