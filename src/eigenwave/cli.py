@@ -2,8 +2,9 @@
 
 Every run writes an effective-config JSON (all defaults and overrides
 resolved) that reproduces it bit-exactly. Exit codes: 0 on success, 2 on
-configuration errors, 3 on numerical failures; errors are reported as a
-single JSON line on standard error.
+rejected configs or unreadable inputs, 3 on numerical failures; `main`
+alone maps errors to codes and reports them as a single JSON line on
+standard error.
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class NumericalError(RuntimeError):
-    pass
-
-
 def _fail(code: int, message: str, **extra) -> int:
     doc = {"code": code, "error": message}
     doc.update(extra)
@@ -39,7 +36,7 @@ def _fail(code: int, message: str, **extra) -> int:
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "preset", None):
+    if args.preset:
         if args.config:
             raise ConfigError("give either --preset or --config, not both")
         doc = preset_config(args.preset)
@@ -52,13 +49,13 @@ def _load_config(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
     else:
-        raise ConfigError("a --config file (or --preset for mc) is required")
+        raise ConfigError("a --config file or a --preset is required")
     cfg = resolve_config(doc)
     if args.seed is not None:
         cfg["mc"]["master_seed"] = args.seed
     if getattr(args, "reps", None) is not None:
         cfg["mc"]["replications"] = args.reps
-    if getattr(args, "kappa", None) is not None:
+    if args.kappa is not None:
         cfg["analysis"]["kappa"] = args.kappa
     if args.out is not None:
         cfg["io"]["out_dir"] = args.out
@@ -87,8 +84,9 @@ def _write_series(series: MultivariateSeries, stem: str, cfg: dict, out: Path) -
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    mc_config = build_mc_config(cfg)
     out = _out_dir(cfg)
-    observed, latent, noise, mixing, diagnostics = draw_observation(build_mc_config(cfg), 0)
+    observed, latent, noise, mixing, diagnostics = draw_observation(mc_config, 0)
     if diagnostics.warning:
         print(json.dumps({"warning": diagnostics.warning}), file=sys.stderr)
     _write_series(observed, "series_y", cfg, out)
@@ -101,30 +99,27 @@ def cmd_simulate(args) -> int:
 
 
 def _read_series(path: str) -> MultivariateSeries:
-    if path.endswith(".csv"):
-        return read_series_csv(path)
-    return read_series_binary(path)
+    reader = read_series_csv if path.endswith(".csv") else read_series_binary
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data: {exc}")
 
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
     if args.data:
         series = _read_series(args.data)
     else:
         series = draw_observation(build_mc_config(cfg), 0)[0]
+    out = _out_dir(cfg)
     analysis = cfg["analysis"]
     filter_pair = make_filter_bank(analysis["family"], analysis["n_vanishing"])
-    try:
-        result = estimate_series(
-            series, filter_pair, analysis["j1"], analysis["j2"],
-            scheme=analysis["weights"], floor=analysis["eigen_floor"],
-            kappa=analysis["kappa"], r=analysis["r"],
-        )
-    except OctaveRangeError as exc:
-        raise NumericalError(
-            f"{exc} (reduce analysis.j2 to {exc.last_feasible} or below)"
-        ) from exc
+    result = estimate_series(
+        series, filter_pair, analysis["j1"], analysis["j2"],
+        scheme=analysis["weights"], floor=analysis["eigen_floor"],
+        kappa=analysis["kappa"], r=analysis["r"],
+    )
     write_result_csv(result, out / "estimate.csv")
     write_result_json(result, out / "estimate.json")
     _write_effective(cfg, out)
@@ -133,14 +128,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
     mc_config = build_mc_config(cfg)
+    out = _out_dir(cfg)
     records = run_replications(mc_config, workers=args.workers)
     truth = cfg["model"]["hurst"]
     summary = summarize(records, kappa_grid=mc_config.kappa_grid, true_hurst=truth)
     good = [rec for rec in records if not rec.flagged]
     if not good:
-        raise NumericalError("every replication was flagged by synthesis diagnostics")
+        raise ValueError("every replication was flagged by synthesis diagnostics")
     try:
         plot = gamma_plot(np.array([rec.h_hat for rec in good]))
     except ValueError as exc:
@@ -177,14 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=False, reps=False, workers=False, data=False):
+    def common(p, reps=False, workers=False, data=False):
         p.add_argument("--config", metavar="PATH", help="run config JSON")
         p.add_argument("--seed", type=int, metavar="U64", help="master seed override")
         p.add_argument("--kappa", type=float, metavar="F", help="threshold override")
         p.add_argument("--out", metavar="DIR", help="output directory override")
-        if preset:
-            p.add_argument("--preset", choices=["fig1", "fig3", "fig4"],
-                           help="named experiment preset")
+        p.add_argument("--preset", choices=["fig1", "fig3", "fig4"],
+                       help="named experiment preset")
         if reps:
             p.add_argument("--reps", type=int, metavar="M", help="replication count override")
         if workers:
@@ -195,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="series file (.csv or binary) to estimate from")
 
     sim = sub.add_parser("simulate", help="synthesize one realization of the model")
-    common(sim, preset=True)
+    common(sim)
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="run the estimation pipeline")
-    common(est, preset=True, data=True)
+    common(est, data=True)
     est.set_defaults(func=cmd_estimate)
 
     mc = sub.add_parser("mc", help="run a Monte Carlo study")
-    common(mc, preset=True, reps=True, workers=True)
+    common(mc, reps=True, workers=True)
     mc.set_defaults(func=cmd_mc)
     return parser
 
@@ -215,8 +209,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc), path=exc.path)
-    except NumericalError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    except OctaveRangeError as exc:
+        return _fail(EXIT_NUMERICAL,
+                     f"{exc} (reduce analysis.j2 to {exc.last_feasible} or below)")
     except (ValueError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA
 from .montecarlo import DEFAULT_KAPPA_GRID, McConfig
-from .simulate import NoiseSpec, OfBmSpec
+from .simulate import MixingSpec, NoiseSpec, OfBmSpec
 from .spectrum import DEFAULT_EIGEN_FLOOR
 
 
@@ -158,49 +158,24 @@ def validate_config(doc: dict) -> None:
 
 
 def resolve_config(doc: dict) -> dict:
-    """Validate and fill defaults; returns the effective configuration."""
+    """Validate and fill defaults; returns the effective configuration.
+
+    Model rules are left to build_mc_config, so `estimate --data` needs only
+    a schema-valid model section.
+    """
     validate_config(doc)
     effective = copy.deepcopy(doc)
     for section, defaults in _DEFAULTS.items():
         target = effective.setdefault(section, {})
         for key, value in defaults.items():
             target.setdefault(key, copy.deepcopy(value))
-    _cross_validate(effective)
-    return effective
-
-
-def _cross_validate(cfg: dict) -> None:
-    model = cfg["model"]
-    r = model["r"]
-    if len(model["hurst"]) != r:
-        raise ConfigError(
-            f"model.hurst: expected {r} exponents for r={r}, got {len(model['hurst'])}",
-            path="model.hurst",
-        )
-    n = model["n"]
-    if n & (n - 1):
-        raise ConfigError(f"model.n: must be a power of two, got {n}", path="model.n")
-    cov = point_covariance(model)
-    if cov.shape != (r, r):
-        raise ConfigError(
-            f"model.point_cov: shape {cov.shape} does not match r={r}",
-            path="model.point_cov",
-        )
-    if "p" in model and model["p"] < r:
-        raise ConfigError(
-            f"model.p: observation dimension {model['p']} below latent r={r}",
-            path="model.p",
-        )
-    mixing = model["mixing"]
-    if mixing["kind"] == "explicit" and "matrix" not in mixing:
-        raise ConfigError("model.mixing: explicit mixing requires a matrix",
-                          path="model.mixing")
-    analysis = cfg["analysis"]
+    analysis = effective["analysis"]
     if analysis["j1"] > analysis["j2"]:
         raise ConfigError(
             f"analysis.j1: octave range ({analysis['j1']}, {analysis['j2']}) is inverted",
             path="analysis.j1",
         )
+    return effective
 
 
 def point_covariance(model: dict) -> np.ndarray:
@@ -218,7 +193,19 @@ def point_covariance(model: dict) -> np.ndarray:
             )
         idx = np.abs(np.subtract.outer(np.arange(r), np.arange(r)))
         return row[idx]
+    if len(spec) != r or any(len(row) != r for row in spec):
+        raise ConfigError(f"model.point_cov: expected an {r} x {r} matrix for r={r}",
+                          path="model.point_cov")
     return np.asarray(spec, dtype=np.float64)
+
+
+def _typed(path: str, spec_type, *args, **kwargs):
+    """Build a typed spec; the ValueError of a rule it enforces becomes a
+    ConfigError at path."""
+    try:
+        return spec_type(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}", path=path) from exc
 
 
 def build_mc_config(cfg: dict) -> McConfig:
@@ -226,35 +213,45 @@ def build_mc_config(cfg: dict) -> McConfig:
     replication 0.
 
     The observation dimension is model.p if given, else
-    round(mc.ratio * n / 2^j2).
+    round(mc.ratio * n / 2^j2). Every model rule is checked here, before any
+    replication is drawn: the typed specs enforce their own rules, and only
+    the facts they cannot see are checked by hand.
     """
     model, analysis, mc = cfg["model"], cfg["analysis"], cfg["mc"]
-    spec = OfBmSpec(hurst=tuple(model["hurst"]), point_cov=point_covariance(model))
+    r, n = model["r"], model["n"]
+    if len(model["hurst"]) != r:
+        raise ConfigError(
+            f"model.hurst: expected {r} exponents for r={r}, got {len(model['hurst'])}",
+            path="model.hurst",
+        )
+    if n & (n - 1):
+        raise ConfigError(f"model.n: must be a power of two, got {n}", path="model.n")
     if "p" in model:
         p = model["p"]
     elif "ratio" in mc:
-        p = int(round(mc["ratio"] * model["n"] / 2 ** analysis["j2"]))
+        p = int(round(mc["ratio"] * n / 2 ** analysis["j2"]))
     else:
         raise ConfigError(
             "model.p: give model.p explicitly or set mc.ratio to derive it",
             path="model.p",
         )
-    mixing = model["mixing"]
-    matrix = None
-    if mixing["kind"] == "explicit":
-        matrix = np.asarray(mixing["matrix"], dtype=np.float64)
-        if matrix.shape[0] != p:
-            raise ConfigError(
-                f"model.mixing.matrix: {matrix.shape[0]} rows, expected p={p}",
-                path="model.mixing.matrix",
-            )
+    if p < r:
+        raise ConfigError(f"model.p: observation dimension {p} below latent r={r}",
+                          path="model.p")
+    spec = _typed("model", OfBmSpec, hurst=tuple(model["hurst"]),
+                  point_cov=point_covariance(model))
     noise = model["noise"]
+    noise_spec = _typed("model.noise", NoiseSpec, kind=noise["kind"],
+                        variance=noise.get("variance", 1.0),
+                        ar=tuple(noise.get("ar", ())), ma=tuple(noise.get("ma", ())))
+    mixing = model["mixing"]
+    mixing_spec = _typed("model.mixing.matrix" if "matrix" in mixing else "model.mixing",
+                         MixingSpec, mixing["kind"], p, r, mixing.get("matrix"))
     return McConfig(
         model=spec,
         mixing_kind=mixing["kind"],
-        noise=NoiseSpec(kind=noise["kind"], variance=noise.get("variance", 1.0),
-                        ar=tuple(noise.get("ar", ())), ma=tuple(noise.get("ma", ()))),
-        n=model["n"],
+        noise=noise_spec,
+        n=n,
         j1=analysis["j1"],
         j2=analysis["j2"],
         p=p,
@@ -266,7 +263,7 @@ def build_mc_config(cfg: dict) -> McConfig:
         eigen_floor=analysis["eigen_floor"],
         kappa=analysis["kappa"],
         kappa_grid=tuple(analysis["kappa_grid"]),
-        mixing_matrix=matrix,
+        mixing_matrix=mixing_spec.matrix,
     )
 
 

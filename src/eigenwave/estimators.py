@@ -33,6 +33,10 @@ class OctaveRangeError(ValueError):
         super().__init__(message)
         self.last_feasible = last_feasible
 
+    def __reduce__(self):
+        # worker processes pickle the exception back to the parent
+        return type(self), (str(self), self.last_feasible)
+
 
 @dataclass(frozen=True)
 class RegressionWeights:

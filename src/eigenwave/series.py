@@ -7,6 +7,7 @@ little-endian float64 data).
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,6 +64,8 @@ def read_series_csv(path) -> MultivariateSeries:
             if len(parts) != p + 1:
                 raise ValueError(f"{path}: row has {len(parts)} fields, expected {p + 1}")
             cols.append([float(x) for x in parts[1:]])
+    if not cols:
+        raise ValueError(f"{path}: no data rows")
     return MultivariateSeries(np.array(cols).T)
 
 
@@ -81,7 +84,9 @@ def read_series_binary(path) -> MultivariateSeries:
         magic, p, n = _HEADER.unpack(head)
         if magic != BINARY_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {BINARY_MAGIC!r}")
-        data = np.frombuffer(fh.read(8 * p * n), dtype="<f8")
-        if data.size != p * n:
-            raise ValueError(f"{path}: expected {p * n} values, found {data.size}")
+        size = os.fstat(fh.fileno()).st_size
+        if size != _HEADER.size + 8 * p * n:
+            raise ValueError(f"{path}: header claims {p} x {n} values, "
+                             f"file holds {size - _HEADER.size} data bytes")
+        data = np.frombuffer(fh.read(), dtype="<f8")
     return MultivariateSeries(data.reshape(p, n).copy())

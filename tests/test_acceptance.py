@@ -18,8 +18,9 @@ from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (NoiseSpec, OfBmSpec, cumulative_path,
                                 fgn_cross_covariance,
                                 synthesize_ofbm_increments)
-from eigenwave.spectrum import LogEigenSpectrum, jacobi_eigen, sym_eigen
+from eigenwave.spectrum import LogEigenSpectrum, sym_eigen
 from eigenwave.wavelets import make_filter_bank, pyramid_transform, valid_count
+from oracles import jacobi_eigen
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

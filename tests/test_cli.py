@@ -278,6 +278,108 @@ def test_explicit_matrix_row_count_is_config_error(tmp_path, capsys, command):
     assert json.loads(err.strip())["path"] == "model.mixing.matrix"
 
 
+# Each entry breaks one model rule and names the config path that reports it.
+INVALID_MODELS = {
+    "non-unit explicit columns": (
+        {"p": 2, "mixing": {"kind": "explicit", "matrix": [[1.0], [1.0]]}},
+        "model.mixing.matrix"),
+    "explicit column count": (
+        {"p": 2, "mixing": {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
+        "model.mixing.matrix"),
+    "explicit without matrix": ({"p": 2, "mixing": {"kind": "explicit"}}, "model.mixing"),
+    "canonical with matrix": (
+        {"mixing": {"kind": "canonical", "matrix": [[1.0]]}}, "model.mixing.matrix"),
+    "decreasing hurst": ({"r": 2, "hurst": [0.6, 0.4], "p": 2}, "model"),
+    "non-PSD point_cov": (
+        {"r": 2, "hurst": [0.4, 0.6], "p": 2, "point_cov": [[1.0, 2.0], [2.0, 1.0]]},
+        "model"),
+    "point_cov shape": ({"point_cov": [[1.0, 0.0], [0.0, 1.0]]}, "model.point_cov"),
+    "ar under iid noise": (
+        {"noise": {"kind": "iid_gaussian", "ar": [0.5]}}, "model.noise"),
+    "nonstationary AR": ({"noise": {"kind": "arma", "ar": [1.5]}}, "model.noise"),
+    "hurst count": ({"hurst": [0.4, 0.6]}, "model.hurst"),
+    "n not a power of two": ({"n": 1000}, "model.n"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize("case", sorted(INVALID_MODELS))
+def test_invalid_model_is_config_error(tmp_path, capsys, command, case):
+    update, path = INVALID_MODELS[case]
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["model"].update(update)
+    out = tmp_path / "out"
+    code, _, err = run([command, "--config", write_config(tmp_path, doc),
+                        "--out", str(out)], capsys)
+    assert code == 2, err
+    assert json.loads(err.strip())["path"] == path
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_ratio_derived_p_below_r_is_config_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(MINIMAL))
+    del doc["model"]["p"]
+    doc["model"].update({"r": 3, "hurst": [0.2, 0.5, 0.8]})
+    doc["analysis"] = {"j1": 2, "j2": 8}
+    doc["mc"]["ratio"] = 0.25  # p = round(0.25 * 1024 / 2^8) = 1
+    out = tmp_path / "out"
+    code, _, err = run([command, "--config", write_config(tmp_path, doc),
+                        "--out", str(out)], capsys)
+    assert code == 2, err
+    assert json.loads(err.strip())["path"] == "model.p"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mc_infeasible_octaves_give_the_hint(tmp_path, capsys, workers):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["analysis"] = {"j1": 2, "j2": 12}
+    code, _, err = run(["mc", "--config", write_config(tmp_path, doc),
+                        "--workers", workers, "--out", str(tmp_path / "out")], capsys)
+    assert code == 3
+    assert "(reduce analysis.j2 to " in json.loads(err.strip())["error"]
+
+
+class TestEstimateData:
+    @pytest.fixture()
+    def series_path(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, MINIMAL),
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        return out / "series_y.bin"
+
+    def test_model_cross_field_rules_not_checked(self, tmp_path, capsys, series_path):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["model"]["hurst"] = [0.4, 0.6]  # two exponents for r = 1
+        outs = []
+        for name, doc in (("good", MINIMAL), ("bad", bad)):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            code, _, err = run(["estimate", "--config", cfg, "--data", str(series_path),
+                                "--out", str(out)], capsys)
+            assert code == 0, err
+            outs.append((out / "estimate.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),
+                            "--data", str(tmp_path / "missing.bin"), "--out", str(out)], capsys)
+        assert code == 2
+        assert "missing.bin" in json.loads(err.strip())["error"]
+        assert not out.exists()
+
+    def test_trailing_byte_is_json_error(self, tmp_path, capsys, series_path):
+        with open(series_path, "ab") as fh:
+            fh.write(b"\0")
+        code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),
+                            "--data", str(series_path), "--out", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert "header claims" in json.loads(err.strip())["error"]
+
+
 class TestSharedDraw:
     def test_simulate_is_replication_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
