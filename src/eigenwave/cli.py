@@ -21,7 +21,7 @@ from .montecarlo import (draw_observation, gamma_plot, ks_subset_average,
                          run_replications, summarize, write_gamma_csv,
                          write_ks_json, write_records_ndjson, write_sweep_csv)
 from .series import (MultivariateSeries, read_series_binary, read_series_csv,
-                     write_series_binary, write_series_csv)
+                     write_json, write_series_binary, write_series_csv)
 from .wavelets import make_filter_bank
 
 EXIT_CONFIG = 2
@@ -50,28 +50,21 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}")
     else:
         raise ConfigError("a --config file or a --preset is required")
-    cfg = resolve_config(doc)
-    if args.seed is not None:
-        cfg["mc"]["master_seed"] = args.seed
-    if getattr(args, "reps", None) is not None:
-        cfg["mc"]["replications"] = args.reps
-    if args.kappa is not None:
-        cfg["analysis"]["kappa"] = args.kappa
-    if args.out is not None:
-        cfg["io"]["out_dir"] = args.out
-    return cfg
+    # an override flag's dest is the config path it writes; a document or
+    # section that is not an object is left for the schema to reject
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None and isinstance(doc, dict):
+            section, key = dest.split(".")
+            target = doc.setdefault(section, {})
+            if isinstance(target, dict):
+                target[key] = value
+    return resolve_config(doc)
 
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["io"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_effective(cfg: dict, out: Path) -> None:
-    with open(out / "effective_config.json", "w", encoding="ascii", newline="\n") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_series(series: MultivariateSeries, stem: str, cfg: dict, out: Path) -> None:
@@ -94,7 +87,7 @@ def cmd_simulate(args) -> int:
         _write_series(latent, "series_x", cfg, out)
         _write_series(noise, "series_z", cfg, out)
         np.savetxt(out / "mixing_p.csv", mixing, delimiter=",")
-    _write_effective(cfg, out)
+    write_json(cfg, out / "effective_config.json")
     return 0
 
 
@@ -122,7 +115,7 @@ def cmd_estimate(args) -> int:
     )
     write_result_csv(result, out / "estimate.csv")
     write_result_json(result, out / "estimate.json")
-    _write_effective(cfg, out)
+    write_json(cfg, out / "effective_config.json")
     return 0
 
 
@@ -144,9 +137,7 @@ def cmd_mc(args) -> int:
         print(json.dumps({"warning": str(exc)}), file=sys.stderr)
         with open(out / "gamma_plot.csv", "w", encoding="ascii", newline="\n") as fh:
             fh.write("m,d2_empirical,chi2_quantile\n")
-        with open(out / "ks.json", "w", encoding="ascii", newline="\n") as fh:
-            json.dump({"skipped": str(exc)}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"skipped": str(exc)}, out / "ks.json")
     else:
         subset = None
         if cfg["io"]["ks_subsets"]:
@@ -156,10 +147,8 @@ def cmd_mc(args) -> int:
         write_ks_json(plot, out / "ks.json", subset=subset)
     write_sweep_csv(summary["rhat_sweep"], out / "rhat_sweep.csv")
     write_records_ndjson(records, out / "records.ndjson")
-    with open(out / "summary.json", "w", encoding="ascii", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    _write_effective(cfg, out)
+    write_json(summary, out / "summary.json")
+    write_json(cfg, out / "effective_config.json")
     return 0
 
 
@@ -174,13 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, reps=False, workers=False, data=False):
         p.add_argument("--config", metavar="PATH", help="run config JSON")
-        p.add_argument("--seed", type=int, metavar="U64", help="master seed override")
-        p.add_argument("--kappa", type=float, metavar="F", help="threshold override")
-        p.add_argument("--out", metavar="DIR", help="output directory override")
+        p.add_argument("--seed", dest="mc.master_seed", type=int, metavar="U64",
+                       help="sets mc.master_seed")
+        p.add_argument("--kappa", dest="analysis.kappa", type=float, metavar="F",
+                       help="sets analysis.kappa")
+        p.add_argument("--out", dest="io.out_dir", metavar="DIR", help="sets io.out_dir")
         p.add_argument("--preset", choices=["fig1", "fig3", "fig4"],
                        help="named experiment preset")
         if reps:
-            p.add_argument("--reps", type=int, metavar="M", help="replication count override")
+            p.add_argument("--reps", dest="mc.replications", type=int, metavar="M",
+                           help="sets mc.replications")
         if workers:
             p.add_argument("--workers", type=int, default=1, metavar="N",
                            help="parallel worker processes (default 1)")

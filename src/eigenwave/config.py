@@ -50,6 +50,7 @@ _POINT_COV = {
 _MIXING = {
     "type": "object", "additionalProperties": False,
     "required": ["kind"],
+    "default": {"kind": "canonical"},
     "properties": {
         "kind": {"enum": ["canonical", "random_unit_columns", "explicit"]},
         "matrix": _MATRIX,
@@ -59,6 +60,7 @@ _MIXING = {
 _NOISE = {
     "type": "object", "additionalProperties": False,
     "required": ["kind"],
+    "default": {"kind": "iid_gaussian", "variance": 1.0},
     "properties": {
         "kind": {"enum": ["iid_gaussian", "arma", "none"]},
         "variance": {"type": "number", "exclusiveMinimum": 0},
@@ -69,7 +71,7 @@ _NOISE = {
 
 SCHEMA = {
     "type": "object", "additionalProperties": False,
-    "required": ["model", "analysis"],
+    "required": ["analysis"],
     "properties": {
         "model": {
             "type": "object", "additionalProperties": False,
@@ -88,65 +90,41 @@ SCHEMA = {
             "type": "object", "additionalProperties": False,
             "required": ["j1", "j2"],
             "properties": {
-                "family": {"enum": ["haar", "daubechies"]},
-                "n_vanishing": {"type": "integer", "minimum": 1, "maximum": 10},
+                "family": {"enum": ["haar", "daubechies"], "default": "daubechies"},
+                "n_vanishing": {"type": "integer", "minimum": 1, "maximum": 10,
+                                "default": 2},
                 "j1": {"type": "integer", "minimum": 1},
                 "j2": {"type": "integer", "minimum": 1},
-                "weights": {"enum": ["uniform", "count"]},
-                "eigen_floor": {"type": "number", "exclusiveMinimum": 0},
-                "kappa": {"type": "number", "exclusiveMinimum": 0},
+                "weights": {"enum": ["uniform", "count"], "default": COUNT_WEIGHTED},
+                "eigen_floor": {"type": "number", "exclusiveMinimum": 0,
+                                "default": DEFAULT_EIGEN_FLOOR},
+                "kappa": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_KAPPA},
                 "kappa_grid": {"type": "array", "minItems": 1,
-                               "items": {"type": "number", "exclusiveMinimum": 0}},
-                "r": {"type": ["integer", "null"], "minimum": 0},
+                               "items": {"type": "number", "exclusiveMinimum": 0},
+                               "default": list(DEFAULT_KAPPA_GRID)},
+                "r": {"type": ["integer", "null"], "minimum": 0, "default": None},
             },
         },
         "mc": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "replications": {"type": "integer", "minimum": 1},
-                "master_seed": {"type": "integer", "minimum": 0},
+                "replications": {"type": "integer", "minimum": 1, "default": 100},
+                "master_seed": {"type": "integer", "minimum": 0, "default": 0},
                 "ratio": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "io": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "out_dir": {"type": "string", "minLength": 1},
+                "out_dir": {"type": "string", "minLength": 1, "default": "out"},
                 "formats": {"type": "array", "minItems": 1,
-                            "items": {"enum": ["csv", "binary"]}},
-                "components": {"type": "boolean"},
-                "ks_subsets": {"type": "boolean"},
+                            "items": {"enum": ["csv", "binary"]}, "default": ["csv"]},
+                "components": {"type": "boolean", "default": False},
+                "ks_subsets": {"type": "boolean", "default": False},
             },
         },
     },
 }
-
-_DEFAULTS = {
-    "model": {
-        "mixing": {"kind": "canonical"},
-        "noise": {"kind": "iid_gaussian", "variance": 1.0},
-    },
-    "analysis": {
-        "family": "daubechies",
-        "n_vanishing": 2,
-        "weights": COUNT_WEIGHTED,
-        "eigen_floor": DEFAULT_EIGEN_FLOOR,
-        "kappa": DEFAULT_KAPPA,
-        "kappa_grid": list(DEFAULT_KAPPA_GRID),
-        "r": None,
-    },
-    "mc": {
-        "replications": 100,
-        "master_seed": 0,
-    },
-    "io": {
-        "out_dir": "out",
-        "formats": ["csv"],
-        "components": False,
-        "ks_subsets": False,
-    },
-}
-
 
 def validate_config(doc: dict) -> None:
     validator = jsonschema.Draft202012Validator(SCHEMA)
@@ -158,18 +136,28 @@ def validate_config(doc: dict) -> None:
 
 
 def resolve_config(doc: dict) -> dict:
-    """Validate and fill defaults; returns the effective configuration.
+    """Validate and fill the schema's defaults; returns the effective
+    configuration, which always has mc and io sections.
 
-    Model rules are left to build_mc_config, so `estimate --data` needs only
-    a schema-valid model section.
+    Defaults fill the sections that are present, one level deep; an absent
+    model section stays absent. Model rules are left to build_mc_config, so
+    `estimate --data` needs only an analysis section. Haar is the
+    one-vanishing-moment filter: its n_vanishing resolves to 1 and may not
+    be set to anything else.
     """
     validate_config(doc)
     effective = copy.deepcopy(doc)
-    for section, defaults in _DEFAULTS.items():
-        target = effective.setdefault(section, {})
-        for key, value in defaults.items():
-            target.setdefault(key, copy.deepcopy(value))
     analysis = effective["analysis"]
+    if analysis.get("family") == "haar" and analysis.setdefault("n_vanishing", 1) != 1:
+        raise ConfigError("analysis.n_vanishing: haar has one vanishing moment, "
+                          f"got {analysis['n_vanishing']}", path="analysis.n_vanishing")
+    for name, section in SCHEMA["properties"].items():
+        if "default" in section:
+            effective.setdefault(name, copy.deepcopy(section["default"]))
+        if name in effective:
+            for key, rule in section["properties"].items():
+                if "default" in rule:
+                    effective[name].setdefault(key, copy.deepcopy(rule["default"]))
     if analysis["j1"] > analysis["j2"]:
         raise ConfigError(
             f"analysis.j1: octave range ({analysis['j1']}, {analysis['j2']}) is inverted",
@@ -217,6 +205,8 @@ def build_mc_config(cfg: dict) -> McConfig:
     replication is drawn: the typed specs enforce their own rules, and only
     the facts they cannot see are checked by hand.
     """
+    if "model" not in cfg:
+        raise ConfigError("model: a model section is required to draw a series", path="model")
     model, analysis, mc = cfg["model"], cfg["analysis"], cfg["mc"]
     r, n = model["r"], model["n"]
     if len(model["hurst"]) != r:
@@ -240,10 +230,7 @@ def build_mc_config(cfg: dict) -> McConfig:
                           path="model.p")
     spec = _typed("model", OfBmSpec, hurst=tuple(model["hurst"]),
                   point_cov=point_covariance(model))
-    noise = model["noise"]
-    noise_spec = _typed("model.noise", NoiseSpec, kind=noise["kind"],
-                        variance=noise.get("variance", 1.0),
-                        ar=tuple(noise.get("ar", ())), ma=tuple(noise.get("ma", ())))
+    noise_spec = _typed("model.noise", NoiseSpec, **model["noise"])
     mixing = model["mixing"]
     mixing_spec = _typed("model.mixing.matrix" if "matrix" in mixing else "model.mixing",
                          MixingSpec, mixing["kind"], p, r, mixing.get("matrix"))

@@ -10,12 +10,11 @@ threshold kappa estimates the latent dimension.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MultivariateSeries
+from .series import MultivariateSeries, write_json
 from .spectrum import DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, spectrum_from_pyramid
 from .wavelets import FilterPair, pyramid_transform
 
@@ -270,6 +269,4 @@ def result_to_json(result: EstimationResult) -> dict:
 
 
 def write_result_json(result: EstimationResult, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(result_to_json(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result_to_json(result), path)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .estimators import (COUNT_WEIGHTED, DEFAULT_KAPPA, estimate_series,
                          kappa_sweep)
+from .series import write_json
 from .simulate import (CLIP_ENERGY_TOL, MixingSpec, NoiseSpec, OfBmSpec,
                        assemble_observations, cumulative_path,
                        make_mixing_matrix, synthesize_noise,
@@ -286,9 +287,7 @@ def write_ks_json(plot: GammaPlotData, path, subset: dict | None = None) -> None
     }
     if subset is not None:
         doc["subset_average"] = subset
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -3,10 +3,11 @@
 A series is a p x n real matrix: rows are components, columns are time
 points. Two on-disk formats are supported: a plain CSV with a time column,
 and a compact binary layout (16-byte header followed by row-major
-little-endian float64 data).
+little-endian float64 data). Result documents are pretty-printed JSON.
 """
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -90,3 +91,11 @@ def read_series_binary(path) -> MultivariateSeries:
                              f"file holds {size - _HEADER.size} data bytes")
         data = np.frombuffer(fh.read(), dtype="<f8")
     return MultivariateSeries(data.reshape(p, n).copy())
+
+
+def write_json(doc, path) -> None:
+    """Write a result document as sorted, indented ASCII JSON with a final
+    newline; numpy scalars are written as floats."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")

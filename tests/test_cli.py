@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenwave.cli import main
-from eigenwave.config import build_mc_config, preset_config, resolve_config
+from eigenwave.config import ConfigError, build_mc_config, preset_config, resolve_config
 from eigenwave.montecarlo import draw_observation
 from eigenwave.series import read_series_binary, read_series_csv
 
@@ -331,6 +331,44 @@ def test_ratio_derived_p_below_r_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# Each override flag writes one config key and is checked like that key.
+BAD_OVERRIDES = [
+    ("mc", "--reps", "0", "mc.replications"),
+    ("mc", "--seed", "-1", "mc.master_seed"),
+    ("estimate", "--kappa", "0", "analysis.kappa"),
+    ("estimate", "--kappa", "-1", "analysis.kappa"),
+    ("estimate", "--out", "", "io.out_dir"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, path", BAD_OVERRIDES)
+def test_bad_override_is_config_error(tmp_path, capsys, monkeypatch, command, flag, value, path):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run([command, "--preset", "fig4", "--out", "out", flag, value], capsys)
+    assert code == 2, err
+    assert json.loads(err.strip())["path"] == path
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("doc, path", [([1], "<root>"), ({**MINIMAL, "mc": 3}, "mc")])
+def test_override_on_non_object_is_config_error(tmp_path, capsys, doc, path):
+    code, _, err = run(["mc", "--config", write_config(tmp_path, doc), "--seed", "3",
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert json.loads(err.strip())["path"] == path
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_missing_model_is_config_error(tmp_path, capsys, command):
+    doc = {key: MINIMAL[key] for key in ("analysis", "mc")}
+    out = tmp_path / "out"
+    code, _, err = run([command, "--config", write_config(tmp_path, doc),
+                        "--out", str(out)], capsys)
+    assert code == 2, err
+    assert json.loads(err.strip())["path"] == "model"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_mc_infeasible_octaves_give_the_hint(tmp_path, capsys, workers):
     doc = json.loads(json.dumps(MINIMAL))
@@ -355,6 +393,17 @@ class TestEstimateData:
         bad["model"]["hurst"] = [0.4, 0.6]  # two exponents for r = 1
         outs = []
         for name, doc in (("good", MINIMAL), ("bad", bad)):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            code, _, err = run(["estimate", "--config", cfg, "--data", str(series_path),
+                                "--out", str(out)], capsys)
+            assert code == 0, err
+            outs.append((out / "estimate.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_analysis_section_is_enough(self, tmp_path, capsys, series_path):
+        outs = []
+        for name, doc in (("full", MINIMAL), ("analysis", {"analysis": MINIMAL["analysis"]})):
             out = tmp_path / name
             cfg = write_config(tmp_path, doc, f"{name}.json")
             code, _, err = run(["estimate", "--config", cfg, "--data", str(series_path),
@@ -425,3 +474,39 @@ class TestPresets:
         with pytest.raises(SystemExit) as err:
             main(["mc", "--preset", "fig9"])
         assert err.value.code == 2
+
+
+class TestResolveConfig:
+    def test_defaults(self):
+        doc = {"model": {"r": 1, "hurst": [0.5], "n": 1024}, "analysis": {"j1": 2, "j2": 5}}
+        assert resolve_config(doc) == {
+            "model": {
+                "r": 1, "hurst": [0.5], "n": 1024,
+                "mixing": {"kind": "canonical"},
+                "noise": {"kind": "iid_gaussian", "variance": 1.0},
+            },
+            "analysis": {
+                "j1": 2, "j2": 5,
+                "family": "daubechies",
+                "n_vanishing": 2,
+                "weights": "count",
+                "eigen_floor": 1e-10,
+                "kappa": 0.3,
+                "kappa_grid": [round(0.025 * k, 6) for k in range(1, 40)],
+                "r": None,
+            },
+            "mc": {"replications": 100, "master_seed": 0},
+            "io": {"out_dir": "out", "formats": ["csv"], "components": False,
+                   "ks_subsets": False},
+        }
+
+    def test_haar_resolves_to_one_vanishing_moment(self):
+        analysis = resolve_config({"analysis": {"j1": 2, "j2": 5, "family": "haar"}})["analysis"]
+        assert analysis["n_vanishing"] == 1
+        daubechies = {"j1": 2, "j2": 5, "family": "daubechies", "n_vanishing": 4}
+        assert resolve_config({"analysis": daubechies})["analysis"]["n_vanishing"] == 4
+
+    def test_haar_rejects_other_vanishing_moments(self):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"analysis": {"j1": 2, "j2": 5, "family": "haar", "n_vanishing": 4}})
+        assert err.value.path == "analysis.n_vanishing"
