@@ -1,0 +1,89 @@
+"""Fixed-seed fixtures: run them and list a digest of everything they write.
+
+    python scripts/fixtures.py --out DIR [--src PATH]
+
+Each fixture is one `python -m eigenwave.cli` run in a subprocess with
+PYTHONPATH=PATH (default: the `src/` of this checkout), working directory
+DIR and a relative `--out NAME`, so `effective_config.json` does not depend
+on where DIR is. DIR must be empty or absent. The script prints one sorted
+`sha256  NAME/FILE` line per output file and one `sha256  NAME stderr, exit
+CODE` line per run. Two sources behave alike on the fixtures when their
+listings diff clean, e.g.
+
+    python scripts/fixtures.py --out /tmp/a --src old/src > a.txt
+    python scripts/fixtures.py --out /tmp/b > b.txt
+    diff a.txt b.txt
+
+The runs take about 12 s on two cores. This is a tool for refactors that
+must keep every output byte; it is not part of the test suite.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Floors eigenvalues (NaN ell_hat and -inf delta rows: p = 16 exceeds the six
+# coefficients at octave 7) and writes binary and component files.
+FLOORED = {
+    "model": {"r": 2, "hurst": [0.3, 0.7], "mixing": {"kind": "random_unit_columns"},
+              "n": 1024, "p": 16},
+    "analysis": {"j1": 3, "j2": 7},
+    "mc": {"replications": 3},
+    "io": {"formats": ["csv", "binary"], "components": True},
+}
+
+FIXTURES = {
+    "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
+    "mc-arma-wide": ["mc", "--config", str(ROOT / "perfbench/workloads/arma-wide.json"),
+                     "--reps", "4", "--seed", "3"],
+    "mc-fig1": ["mc", "--preset", "fig1", "--reps", "2", "--seed", "106"],
+    "mc-fig4-no-gamma": ["mc", "--preset", "fig4", "--reps", "6", "--seed", "5"],
+    "simulate-fig4": ["simulate", "--preset", "fig4"],
+    "estimate-fig4": ["estimate", "--preset", "fig4"],
+    "estimate-fig4-kappa": ["estimate", "--preset", "fig4", "--kappa", "0.9", "--seed", "5"],
+    "estimate-floored": ["estimate", "--config", "floored.json"],
+    "simulate-floored": ["simulate", "--config", "floored.json"],
+    "mc-floored": ["mc", "--config", "floored.json"],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", required=True, type=Path, metavar="DIR",
+                        help="working directory of the runs; must be empty or absent")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", metavar="PATH",
+                        help="directory holding the eigenwave package (default: ./src)")
+    args = parser.parse_args(argv)
+    if args.out.exists() and any(args.out.iterdir()):
+        parser.error(f"{args.out} is not empty")
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "floored.json").write_text(json.dumps(FLOORED))
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    lines = []
+    for name, command in FIXTURES.items():
+        proc = subprocess.run([sys.executable, "-m", "eigenwave.cli", *command, "--out", name],
+                              cwd=args.out, env=env, capture_output=True)
+        lines.append(f"{sha256(proc.stderr)}  {name} stderr, exit {proc.returncode}")
+        run_dir = args.out / name
+        files = sorted(run_dir.rglob("*")) if run_dir.is_dir() else []
+        for path in files:
+            if path.is_file():
+                lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(args.out)}")
+    for line in sorted(lines, key=lambda line: line.split("  ", 1)[1]):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

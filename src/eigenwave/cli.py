@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_mc_config, preset_config, resolve_config
+from .config import PRESETS, ConfigError, build_mc_config, preset_config, resolve_config
 from .estimators import OctaveRangeError, estimate_series, write_result_csv, write_result_json
 from .montecarlo import (draw_observation, gamma_plot, ks_subset_average,
                          run_replications, summarize, write_gamma_csv,
@@ -105,7 +105,6 @@ def cmd_estimate(args) -> int:
         series = _read_series(args.data)
     else:
         series = draw_observation(build_mc_config(cfg), 0)[0]
-    out = _out_dir(cfg)
     analysis = cfg["analysis"]
     filter_pair = make_filter_bank(analysis["family"], analysis["n_vanishing"])
     result = estimate_series(
@@ -113,6 +112,7 @@ def cmd_estimate(args) -> int:
         scheme=analysis["weights"], floor=analysis["eigen_floor"],
         kappa=analysis["kappa"], r=analysis["r"],
     )
+    out = _out_dir(cfg)
     write_result_csv(result, out / "estimate.csv")
     write_result_json(result, out / "estimate.json")
     write_json(cfg, out / "effective_config.json")
@@ -121,6 +121,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = _load_config(args)
+    if cfg["analysis"]["r"] is not None:
+        raise ConfigError("analysis.r: mc reports the model's r exponents; "
+                          "analysis.r applies to estimate only", path="analysis.r")
     mc_config = build_mc_config(cfg)
     out = _out_dir(cfg)
     records = run_replications(mc_config, workers=args.workers)
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", dest="analysis.kappa", type=float, metavar="F",
                        help="sets analysis.kappa")
         p.add_argument("--out", dest="io.out_dir", metavar="DIR", help="sets io.out_dir")
-        p.add_argument("--preset", choices=["fig1", "fig3", "fig4"],
+        p.add_argument("--preset", choices=sorted(PRESETS),
                        help="named experiment preset")
         if reps:
             p.add_argument("--reps", dest="mc.replications", type=int, metavar="M",

@@ -15,6 +15,7 @@ from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA
 from .montecarlo import DEFAULT_KAPPA_GRID, McConfig
 from .simulate import MixingSpec, NoiseSpec, OfBmSpec
 from .spectrum import DEFAULT_EIGEN_FLOOR
+from .wavelets import make_filter_bank
 
 
 class ConfigError(ValueError):
@@ -141,16 +142,14 @@ def resolve_config(doc: dict) -> dict:
 
     Defaults fill the sections that are present, one level deep; an absent
     model section stays absent. Model rules are left to build_mc_config, so
-    `estimate --data` needs only an analysis section. Haar is the
-    one-vanishing-moment filter: its n_vanishing resolves to 1 and may not
-    be set to anything else.
+    `estimate --data` needs only an analysis section. An absent Haar
+    n_vanishing resolves to 1; make_filter_bank checks the filter.
     """
     validate_config(doc)
     effective = copy.deepcopy(doc)
     analysis = effective["analysis"]
-    if analysis.get("family") == "haar" and analysis.setdefault("n_vanishing", 1) != 1:
-        raise ConfigError("analysis.n_vanishing: haar has one vanishing moment, "
-                          f"got {analysis['n_vanishing']}", path="analysis.n_vanishing")
+    if analysis.get("family") == "haar":
+        analysis.setdefault("n_vanishing", 1)
     for name, section in SCHEMA["properties"].items():
         if "default" in section:
             effective.setdefault(name, copy.deepcopy(section["default"]))
@@ -158,6 +157,8 @@ def resolve_config(doc: dict) -> dict:
             for key, rule in section["properties"].items():
                 if "default" in rule:
                     effective[name].setdefault(key, copy.deepcopy(rule["default"]))
+    _typed("analysis.n_vanishing", make_filter_bank, analysis["family"],
+           analysis["n_vanishing"])
     if analysis["j1"] > analysis["j2"]:
         raise ConfigError(
             f"analysis.j1: octave range ({analysis['j1']}, {analysis['j2']}) is inverted",

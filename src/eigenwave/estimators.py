@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import MultivariateSeries, write_json
-from .spectrum import DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, spectrum_from_pyramid
-from .wavelets import FilterPair, pyramid_transform
+from .spectrum import (DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, log_eigen_spectrum,
+                       wavelet_covariance)
+from .wavelets import FilterPair, check_series_length, pyramid_transform, valid_count
 
 WEIGHT_TOL = 1e-12
 DEFAULT_KAPPA = 0.3
@@ -32,9 +33,21 @@ class OctaveRangeError(ValueError):
         super().__init__(message)
         self.last_feasible = last_feasible
 
-    def __reduce__(self):
-        # worker processes pickle the exception back to the parent
-        return type(self), (str(self), self.last_feasible)
+
+def check_octave_range(n: int, j1: int, j2: int, filter_length: int) -> None:
+    """Raise unless the pyramid of a length-n series reaches octaves j1..j2
+    with a filter of this length: the pipeline's one feasibility rule."""
+    if j1 < 1 or j1 > j2:
+        raise ValueError(f"need 1 <= j1 <= j2, got ({j1}, {j2})")
+    check_series_length(n, filter_length)
+    empty = (j for j in range(1, j2 + 1) if not valid_count(n, j, filter_length))
+    feasible = next(empty, j2 + 1) - 1
+    if feasible < j2:
+        raise OctaveRangeError(
+            f"octave {j2} infeasible for series length {n} with filter "
+            f"length {filter_length}; last feasible octave is {feasible}",
+            last_feasible=feasible,
+        )
 
 
 @dataclass(frozen=True)
@@ -221,17 +234,10 @@ def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
     When r is given it fixes how many top exponent estimates are reported;
     otherwise the estimated dimension is used.
     """
-    if j1 < 1 or j1 > j2:
-        raise ValueError(f"need 1 <= j1 <= j2, got ({j1}, {j2})")
+    check_octave_range(series.n, j1, j2, filter_pair.length)
     pyramid = pyramid_transform(series, filter_pair, j2)
-    if pyramid.truncated or pyramid.max_octave < j2:
-        feasible = pyramid.max_octave
-        raise OctaveRangeError(
-            f"octave {j2} infeasible for series length {series.n} with filter "
-            f"length {filter_pair.length}; last feasible octave is {feasible}",
-            last_feasible=feasible,
-        )
-    spectrum = spectrum_from_pyramid(pyramid, j1, j2, floor=floor)
+    covs = [wavelet_covariance(j, pyramid.detail(j)) for j in range(j1, j2 + 1)]
+    spectrum = log_eigen_spectrum(covs, floor=floor)
     weights = regression_weights(j1, j2, counts=spectrum.counts, scheme=scheme)
     ell = scaling_exponents(spectrum, weights)
     diag = scaling_diagnostic(spectrum, weights)

@@ -16,8 +16,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .estimators import (COUNT_WEIGHTED, DEFAULT_KAPPA, estimate_series,
-                         kappa_sweep)
+from .estimators import (COUNT_WEIGHTED, DEFAULT_KAPPA, check_octave_range,
+                         estimate_series, kappa_sweep)
 from .series import write_json
 from .simulate import (CLIP_ENERGY_TOL, MixingSpec, NoiseSpec, OfBmSpec,
                        assemble_observations, cumulative_path,
@@ -39,6 +39,7 @@ class McConfig:
     """One Monte Carlo study: model, analysis settings and replication plan.
 
     p is the observation dimension and must be at least the latent dimension.
+    Every replication of a study that exists reaches octave j2.
     """
 
     model: OfBmSpec
@@ -61,8 +62,8 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
-        if self.j1 < 1 or self.j1 > self.j2:
-            raise ValueError(f"need 1 <= j1 <= j2, got ({self.j1}, {self.j2})")
+        filter_length = make_filter_bank(self.family, self.n_vanishing).length
+        check_octave_range(self.n, self.j1, self.j2, filter_length)
         if self.p < self.model.r:
             raise ValueError(
                 f"observation dimension p={self.p} below latent dimension r={self.model.r}"

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelets import DetailPyramid
-
 SYMMETRY_TOL = 1e-8
 DEFAULT_EIGEN_FLOOR = 1e-10
 
@@ -107,13 +105,4 @@ def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEi
         j1=js[0], j2=js[-1], counts=tuple(c.n_j for c in covs),
         eigenvalues=lam, log2_eigenvalues=log2lam, zero_flags=flags, floor=floor,
     )
-
-
-def spectrum_from_pyramid(pyramid: DetailPyramid, j1: int, j2: int,
-                          floor: float = DEFAULT_EIGEN_FLOOR) -> LogEigenSpectrum:
-    """Covariances and eigenvalues for the octave range j1..j2 of a pyramid."""
-    if j1 < 1 or j1 > j2:
-        raise ValueError(f"need 1 <= j1 <= j2, got ({j1}, {j2})")
-    covs = [wavelet_covariance(j, pyramid.detail(j)) for j in range(j1, j2 + 1)]
-    return log_eigen_spectrum(covs, floor=floor)
 

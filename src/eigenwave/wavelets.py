@@ -2,12 +2,12 @@
 
 The transform is applied row-wise to a multivariate series with
 orthonormal compactly supported filters (Haar and the Daubechies family
-up to 10 vanishing moments). Convolution is valid-only: a coefficient is
-retained at octave j only if its filter window covers observed samples
-exclusively, so retained coefficients are free of border effects. The
-alignment convention is fixed once and for all: output index k at each
-level corresponds to the filter window starting at sample 2k of the
-previous level.
+up to 10 vanishing moments), built and validated once, at import.
+Convolution is valid-only: a coefficient is retained at octave j only if
+its filter window covers observed samples exclusively, so retained
+coefficients are free of border effects. The alignment convention is
+fixed once and for all: output index k at each level corresponds to the
+filter window starting at sample 2k of the previous level.
 """
 from __future__ import annotations
 
@@ -63,8 +63,6 @@ _DAUBECHIES_LOWPASS = {
          9.3588670320069591e-05, -1.3264202894521245e-05),
 }
 
-SUPPORTED_MOMENTS = range(1, 11)
-
 DC_GAIN_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-12
 MOMENT_TOL = 1e-10
@@ -72,9 +70,8 @@ MOMENT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FilterPair:
-    """Low/high-pass analysis filter pair for one wavelet family member."""
+    """Low/high-pass analysis filter pair with n_vanishing vanishing moments."""
 
-    family: str  # "haar" or "daubechies"
     n_vanishing: int
     low_pass: np.ndarray
     high_pass: np.ndarray
@@ -110,39 +107,37 @@ class FilterPair:
                 raise ValueError(f"vanishing moment {moment} fails: {got!r}")
 
 
-def make_filter_bank(family: str, n_vanishing: int = 1) -> FilterPair:
-    """Build the analysis filter pair for a wavelet family.
+def _filter_pair(lowpass) -> FilterPair:
+    u = np.array(lowpass, dtype=np.float64)
+    # Quadrature mirror: v_k = (-1)^k u_{L-1-k}
+    v = u[::-1].copy()
+    v[1::2] *= -1.0
+    u.flags.writeable = v.flags.writeable = False  # every caller shares them
+    pair = FilterPair(n_vanishing=u.size // 2, low_pass=u, high_pass=v)
+    pair.validate()  # fail fast on any transcription error in the constants
+    return pair
 
-    family is "haar" (one vanishing moment) or "daubechies" with
-    n_vanishing in 1..10. Haar coincides with Daubechies at one vanishing
-    moment. The returned pair is validated against the filter invariants.
+
+_FILTERS = {n: _filter_pair(u) for n, u in _DAUBECHIES_LOWPASS.items()}
+
+
+def make_filter_bank(family: str, n_vanishing: int = 1) -> FilterPair:
+    """The analysis filter pair of a wavelet family, validated at import.
+
+    family is "haar" (n_vanishing 1 only, the same pair as Daubechies 1) or
+    "daubechies" with n_vanishing in 1..10. The arrays are read-only.
     """
     family = family.lower()
-    if family == "haar":
-        n_vanishing = 1
-    elif family != "daubechies":
+    if family not in ("haar", "daubechies"):
         raise ValueError(f"unknown wavelet family {family!r}; use 'haar' or 'daubechies'")
-    if n_vanishing not in SUPPORTED_MOMENTS:
+    if family == "haar" and n_vanishing != 1:
+        raise ValueError(f"haar has one vanishing moment, got {n_vanishing}")
+    if n_vanishing not in _FILTERS:
         raise ValueError(
             f"n_vanishing={n_vanishing} unsupported; Daubechies filters are "
             f"available for 1..10 vanishing moments"
         )
-    u = np.array(_DAUBECHIES_LOWPASS[n_vanishing], dtype=np.float64)
-    L = u.size
-    # Quadrature mirror: v_k = (-1)^k u_{L-1-k}
-    v = u[::-1].copy()
-    v[1::2] *= -1.0
-    pair = FilterPair(family=family, n_vanishing=n_vanishing, low_pass=u, high_pass=v)
-    pair.validate()
-    return pair
-
-
-def _validate_table() -> None:
-    for n in SUPPORTED_MOMENTS:
-        make_filter_bank("daubechies", n)
-
-
-_validate_table()  # fail fast on any transcription error in the constants
+    return _FILTERS[n_vanishing]
 
 
 def valid_count(n: int, j: int, filter_length: int) -> int:
@@ -159,6 +154,13 @@ def valid_count(n: int, j: int, filter_length: int) -> int:
         if count <= 0:
             return 0
     return count
+
+
+def check_series_length(n: int, filter_length: int) -> None:
+    """The pyramid needs a series of at least two filter lengths."""
+    if n < 2 * filter_length:
+        raise ValueError(f"series length {n} too short for filter length "
+                         f"{filter_length}; need at least {2 * filter_length}")
 
 
 @dataclass(frozen=True)
@@ -210,11 +212,7 @@ def pyramid_transform(series: MultivariateSeries, filter_pair: FilterPair,
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    L = filter_pair.length
-    if series.n < 2 * L:
-        raise ValueError(
-            f"series length {series.n} too short for filter length {L}; need at least {2 * L}"
-        )
+    check_series_length(series.n, filter_pair.length)
     octaves: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     approx = series.values

@@ -35,6 +35,19 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+# n = 1024 with the default length-4 filter reaches octave 8, not 12.
+INFEASIBLE = {**MINIMAL, "analysis": {"j1": 2, "j2": 12}}
+
+
+def assert_infeasible_creates_nothing(argv, out, capsys):
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 3, err
+    msg = json.loads(err.strip())
+    assert msg["code"] == 3
+    assert msg["error"].endswith("last feasible octave is 8 (reduce analysis.j2 to 8 or below)")
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_minimal_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
@@ -90,6 +103,10 @@ class TestSimulate:
         doc = json.loads(err.strip())
         assert doc["code"] == 2
         assert "model.p" in doc["path"]
+
+    def test_infeasible_octaves_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, INFEASIBLE)
+        assert_infeasible_creates_nothing(["simulate", "--config", cfg], tmp_path / "o", capsys)
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL))
@@ -179,14 +196,14 @@ class TestEstimate:
         assert len(result["h_hat"]) == result["r_hat"]
 
     def test_infeasible_octaves_exit_3(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(MINIMAL))
-        doc["analysis"] = {"j1": 2, "j2": 12}
-        cfg = write_config(tmp_path, doc)
-        code, _, err = run(["estimate", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
-        assert code == 3
-        msg = json.loads(err.strip())
-        assert msg["code"] == 3
-        assert "last feasible" in msg["error"]
+        sim = tmp_path / "sim"
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, MINIMAL),
+                            "--out", str(sim)], capsys)
+        assert code == 0, err
+        cfg = write_config(tmp_path, INFEASIBLE, "infeasible.json")
+        for data in ([], ["--data", str(sim / "series_y.bin")]):
+            assert_infeasible_creates_nothing(["estimate", "--config", cfg, *data],
+                                              tmp_path / "o", capsys)
 
 
 class TestMc:
@@ -371,12 +388,20 @@ def test_missing_model_is_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_mc_infeasible_octaves_give_the_hint(tmp_path, capsys, workers):
-    doc = json.loads(json.dumps(MINIMAL))
-    doc["analysis"] = {"j1": 2, "j2": 12}
-    code, _, err = run(["mc", "--config", write_config(tmp_path, doc),
-                        "--workers", workers, "--out", str(tmp_path / "out")], capsys)
-    assert code == 3
-    assert "(reduce analysis.j2 to " in json.loads(err.strip())["error"]
+    assert_infeasible_creates_nothing(["mc", "--config", write_config(tmp_path, INFEASIBLE),
+                                       "--workers", workers], tmp_path / "out", capsys)
+
+
+def test_mc_rejects_analysis_r(tmp_path, capsys):
+    doc = {**MINIMAL, "analysis": {**MINIMAL["analysis"], "r": 1}}
+    out = tmp_path / "out"
+    code, _, err = run(["mc", "--config", write_config(tmp_path, doc), "--out", str(out)],
+                       capsys)
+    assert code == 2, err
+    msg = json.loads(err.strip())
+    assert msg["path"] == "analysis.r"
+    assert "applies to estimate only" in msg["error"]
+    assert not out.exists()
 
 
 class TestEstimateData:

@@ -252,6 +252,9 @@ class TestEstimateSeries:
         with pytest.raises(OctaveRangeError) as err:
             estimate_series(series, fp, 2, 12)
         assert 1 <= err.value.last_feasible < 12
+        with pytest.raises(OctaveRangeError) as huge:  # stops at the first empty octave
+            estimate_series(series, fp, 2, 10 ** 9)
+        assert huge.value.last_feasible == err.value.last_feasible
 
     def test_r_override_vs_estimated(self):
         series = self._series(h=0.8, n=2 ** 13, seed=33)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenwave.estimators import estimate_series
+from eigenwave.estimators import OctaveRangeError, estimate_series
 from eigenwave.montecarlo import (GammaPlotData, McConfig, gamma_plot,
                                   ks_critical, ks_statistic,
                                   ks_subset_average, mahalanobis_sq,
@@ -200,6 +200,23 @@ class TestRunReplications:
     def test_derived_dimension_validated(self):
         with pytest.raises(ValueError, match="below latent"):
             small_config(p=0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(family="haar", n_vanishing=4), "haar has one vanishing moment, got 4"),
+        (dict(n=7), "series length 7 too short for filter length 4; need at least 8"),
+        (dict(j1=0), r"need 1 <= j1 <= j2, got \(0, 5\)"),
+    ])
+    def test_filter_and_octaves_checked_before_any_draw(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
+
+    def test_infeasible_octave_reports_last_feasible(self):
+        # n = 1024 with a length-4 filter keeps 511, 254, ..., 6, 2 coefficients
+        # at octaves 1..8 and none at octave 9
+        with pytest.raises(OctaveRangeError) as err:
+            small_config(j2=12)
+        assert err.value.last_feasible == 8
+        small_config(j2=8)
 
 
 class TestSummarize:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenwave.spectrum import (log_eigen_spectrum, spectrum_from_pyramid,
-                                sym_eigen, wavelet_covariance)
+from eigenwave.spectrum import log_eigen_spectrum, sym_eigen, wavelet_covariance
 from eigenwave.series import MultivariateSeries
 from eigenwave.wavelets import make_filter_bank, pyramid_transform
 from oracles import jacobi_eigen
@@ -145,6 +144,6 @@ class TestLogEigenSpectrum:
         rng = np.random.default_rng(7)
         series = MultivariateSeries(rng.standard_normal((3, 512)))
         pyr = pyramid_transform(series, make_filter_bank("haar"), 4)
-        spec = spectrum_from_pyramid(pyr, 2, 4)
+        spec = log_eigen_spectrum([wavelet_covariance(j, pyr.detail(j)) for j in (2, 3, 4)])
         assert (spec.j1, spec.j2) == (2, 4)
         assert spec.counts == tuple(pyr.counts[j] for j in (2, 3, 4))

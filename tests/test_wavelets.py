@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenwave.estimators import OctaveRangeError, check_octave_range
 from eigenwave.series import MultivariateSeries
 from eigenwave.wavelets import (FilterPair, make_filter_bank,
                                 pyramid_transform, valid_count)
@@ -50,9 +51,19 @@ class TestFilterBank:
         with pytest.raises(ValueError, match="family"):
             make_filter_bank("meyer", 2)
 
+    def test_haar_rejects_other_vanishing_moments(self):
+        with pytest.raises(ValueError, match="haar has one vanishing moment, got 4"):
+            make_filter_bank("haar", 4)
+
+    def test_pairs_are_shared_and_read_only(self):
+        fp = make_filter_bank("daubechies", 2)
+        assert make_filter_bank("daubechies", 2) is fp
+        with pytest.raises(ValueError, match="read-only"):
+            fp.low_pass[0] = 0.0
+
     def test_corrupted_filter_fails_validation(self):
         fp = make_filter_bank("daubechies", 2)
-        bad = FilterPair("daubechies", 2, fp.low_pass * 1.001, fp.high_pass)
+        bad = FilterPair(2, fp.low_pass * 1.001, fp.high_pass)
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -68,6 +79,8 @@ class TestValidCount:
     def test_matches_pyramid_lengths(self, n, j, nv):
         fp = make_filter_bank("daubechies", nv)
         if n < 2 * fp.length:
+            with pytest.raises(ValueError, match="too short"):
+                check_octave_range(n, 1, j, fp.length)
             return
         series = MultivariateSeries(np.arange(float(n))[None, :] ** 0.5)
         pyr = pyramid_transform(series, fp, j)
@@ -77,6 +90,11 @@ class TestValidCount:
         if deepest < j:
             assert pyr.truncated
             assert valid_count(n, deepest + 1, fp.length) == 0
+            with pytest.raises(OctaveRangeError) as err:
+                check_octave_range(n, 1, j, fp.length)
+            assert err.value.last_feasible == deepest
+        else:
+            check_octave_range(n, 1, j, fp.length)
 
 
 class TestPyramid:
