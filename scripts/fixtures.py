@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The runs take about 12 s on two cores. This is a tool for refactors that
+The twelve runs take about 11 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -30,7 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Floors eigenvalues (NaN ell_hat and -inf delta rows: p = 16 exceeds the six
-# coefficients at octave 7) and writes binary and component files.
+# coefficients at octave 7) and writes binary and component files. The runs
+# go in dict order, so simulate-floored writes the series the --data runs read.
 FLOORED = {
     "model": {"r": 2, "hurst": [0.3, 0.7], "mixing": {"kind": "random_unit_columns"},
               "n": 1024, "p": 16},
@@ -50,6 +51,11 @@ FIXTURES = {
     "estimate-fig4-kappa": ["estimate", "--preset", "fig4", "--kappa", "0.9", "--seed", "5"],
     "estimate-floored": ["estimate", "--config", "floored.json"],
     "simulate-floored": ["simulate", "--config", "floored.json"],
+    # read back what simulate-floored wrote, in both formats
+    "estimate-floored-bin": ["estimate", "--config", "floored.json",
+                             "--data", "simulate-floored/series_y.bin"],
+    "estimate-floored-csv": ["estimate", "--config", "floored.json",
+                             "--data", "simulate-floored/series_y.csv"],
     "mc-floored": ["mc", "--config", "floored.json"],
 }
 

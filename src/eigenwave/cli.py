@@ -2,9 +2,9 @@
 
 Every run writes an effective-config JSON (all defaults and overrides
 resolved) that reproduces it bit-exactly. Exit codes: 0 on success, 2 on
-rejected configs or unreadable inputs, 3 on numerical failures; `main`
-alone maps errors to codes and reports them as a single JSON line on
-standard error.
+rejected command lines, configs or unreadable inputs, 3 on numerical
+failures; `main` alone maps errors to codes and reports them as a single
+JSON line on standard error.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ def _load_config(args) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
     else:
         raise ConfigError("a --config file or a --preset is required")
@@ -138,8 +138,7 @@ def cmd_mc(args) -> int:
         # too few replications for a stable Mahalanobis covariance: skip the
         # distributional outputs, keep the rest of the study
         print(json.dumps({"warning": str(exc)}), file=sys.stderr)
-        with open(out / "gamma_plot.csv", "w", encoding="ascii", newline="\n") as fh:
-            fh.write("m,d2_empirical,chi2_quantile\n")
+        write_gamma_csv(None, out / "gamma_plot.csv")
         write_json({"skipped": str(exc)}, out / "ks.json")
     else:
         subset = None
@@ -155,8 +154,15 @@ def cmd_mc(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line like any other rejected input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eigenwave",
         description="Hurst structure of high-dimensional series by wavelet "
                     "eigenvalue regression: synthesis, estimation and Monte "
@@ -198,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc), path=exc.path)

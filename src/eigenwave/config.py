@@ -7,6 +7,7 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import copy
+import sys
 
 import jsonschema
 import numpy as np
@@ -127,13 +128,16 @@ SCHEMA = {
     },
 }
 
-def validate_config(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(part) for part in err.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {err.message}", path=path)
+
+# Draft 2020-12, except that an integer is never written as a float (1024.0)
+# and a number is a finite float64: no NaN, infinity or 10**400.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda checker, x: type(x) is int,
+        "number": lambda checker, x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
+    }),
+)(SCHEMA)
 
 
 def resolve_config(doc: dict) -> dict:
@@ -145,7 +149,10 @@ def resolve_config(doc: dict) -> dict:
     `estimate --data` needs only an analysis section. An absent Haar
     n_vanishing resolves to 1; make_filter_bank checks the filter.
     """
-    validate_config(doc)
+    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if errors:
+        path = ".".join(str(part) for part in errors[0].absolute_path) or "<root>"
+        raise ConfigError(f"{path}: {errors[0].message}", path=path)
     effective = copy.deepcopy(doc)
     analysis = effective["analysis"]
     if analysis.get("family") == "haar":

@@ -19,7 +19,6 @@ from .spectrum import (DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, log_eigen_spectrum
                        wavelet_covariance)
 from .wavelets import FilterPair, check_series_length, pyramid_transform, valid_count
 
-WEIGHT_TOL = 1e-12
 DEFAULT_KAPPA = 0.3
 
 UNIFORM = "uniform"
@@ -62,21 +61,6 @@ class RegressionWeights:
     w: np.ndarray
     v: np.ndarray
     scheme: str
-
-    def __post_init__(self):
-        js = np.arange(self.j1, self.j2 + 1)
-        w, v = np.asarray(self.w, float), np.asarray(self.v, float)
-        if w.shape != js.shape or v.shape != js.shape:
-            raise ValueError(f"weights must cover octaves {self.j1}..{self.j2}")
-        if len(js) > 1:
-            if abs(w.sum()) > WEIGHT_TOL or abs((js * w).sum() - 1.0) > WEIGHT_TOL:
-                raise ValueError("regression weights violate the defining constraints")
-        elif abs(w[0] - 1.0) > WEIGHT_TOL:
-            raise ValueError("single-octave regression weight must be 1")
-        if abs(v.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError("diagnostic weights must sum to 1")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "v", v)
 
     @property
     def octaves(self) -> np.ndarray:
@@ -142,8 +126,6 @@ def hurst_exponents(ell: np.ndarray, r: int) -> np.ndarray:
     p = ell.size
     if r < 0 or r > p:
         raise ValueError(f"need 0 <= r <= {p}, got r={r}")
-    if r == 0:
-        return np.empty(0)
     top = ell[p - r:]
     bad = int(np.isnan(top).sum())
     if bad:

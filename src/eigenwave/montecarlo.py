@@ -208,16 +208,6 @@ class GammaPlotData:
     ks_reject: bool
     ks_critical: float
 
-    def __post_init__(self):
-        d2 = np.asarray(self.d2, dtype=np.float64)
-        q = np.asarray(self.chi2_quantiles, dtype=np.float64)
-        if d2.shape != q.shape or d2.ndim != 1:
-            raise ValueError("distance and quantile sequences must have equal length")
-        if np.any(np.diff(d2) < 0) or np.any(np.diff(q) < 0):
-            raise ValueError("gamma plot sequences must be nondecreasing")
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "chi2_quantiles", q)
-
 
 def gamma_plot(samples) -> GammaPlotData:
     """Gamma plot of an (M, r) sample: empirical quantiles of squared
@@ -239,7 +229,7 @@ def gamma_plot(samples) -> GammaPlotData:
                          ks_critical=float(ks_critical(m)))
 
 
-def summarize(records, kappa_grid=None, true_hurst=None) -> dict:
+def summarize(records, kappa_grid, true_hurst=None) -> dict:
     """Per-coordinate statistics of the exponent estimates and the
     effective-dimension sweep. Flagged replications are counted but
     excluded from every statistic."""
@@ -264,17 +254,18 @@ def summarize(records, kappa_grid=None, true_hurst=None) -> dict:
         stats["bias"] = [float(x) for x in h.mean(axis=0) - truth]
         true_r = truth.size
     out["h"] = stats
-    grid = np.asarray(DEFAULT_KAPPA_GRID if kappa_grid is None else kappa_grid)
     deltas = np.array([rec.delta for rec in good])
-    out["rhat_sweep"] = kappa_sweep(deltas, grid, true_r=true_r)
+    out["rhat_sweep"] = kappa_sweep(deltas, kappa_grid, true_r=true_r)
     return out
 
 
-def write_gamma_csv(plot: GammaPlotData, path) -> None:
-    """CSV export with columns m, d2_empirical, chi2_quantile."""
+def write_gamma_csv(plot: GammaPlotData | None, path) -> None:
+    """CSV export with columns m, d2_empirical, chi2_quantile; the header
+    alone when plot is None (a study too small for a Gamma plot)."""
+    rows = () if plot is None else zip(plot.d2, plot.chi2_quantiles)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("m,d2_empirical,chi2_quantile\n")
-        for m, (d, q) in enumerate(zip(plot.d2, plot.chi2_quantiles), start=1):
+        for m, (d, q) in enumerate(rows, start=1):
             fh.write(f"{m},{repr(float(d))},{repr(float(q))}\n")
 
 

@@ -125,7 +125,6 @@ class SynthesisDiagnostics:
     """Embedding quality report for one circulant-embedding synthesis."""
 
     clipped_energy: float
-    exact: bool
     warning: str | None = None
 
 
@@ -199,14 +198,13 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
     shaped = (np.matmul(roots, noise_re[..., None])[..., 0]
               + 1j * np.matmul(roots, noise_im[..., None])[..., 0])
     increments = np.sqrt(2.0 * m) * np.fft.ifft(shaped, axis=0)[:n].real
-    exact = clipped == 0.0
     warning = None
     if clip_energy > CLIP_ENERGY_TOL:
         warning = (
             f"circulant embedding clipped {clip_energy:.3e} relative spectral "
             f"energy; output covariance is approximate"
         )
-    return MultivariateSeries(increments.T), SynthesisDiagnostics(clip_energy, exact, warning)
+    return MultivariateSeries(increments.T), SynthesisDiagnostics(clip_energy, warning)
 
 
 def cumulative_path(increments: MultivariateSeries) -> MultivariateSeries:

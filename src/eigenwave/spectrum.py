@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-8
 DEFAULT_EIGEN_FLOOR = 1e-10
 
 
@@ -40,19 +39,6 @@ def wavelet_covariance(j: int, details: np.ndarray) -> WaveletCovariance:
     return WaveletCovariance(j=j, n_j=n_j, matrix=m)
 
 
-def sym_eigen(matrix: np.ndarray):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric
-    matrix. Rejects input whose asymmetry exceeds SYMMETRY_TOL relative to
-    its magnitude."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigh(m)
-
-
 @dataclass(frozen=True)
 class LogEigenSpectrum:
     """Sorted eigenvalues per octave with their base-2 logarithms.
@@ -67,15 +53,6 @@ class LogEigenSpectrum:
     eigenvalues: np.ndarray
     log2_eigenvalues: np.ndarray
     zero_flags: np.ndarray
-    floor: float
-
-    @property
-    def octaves(self) -> range:
-        return range(self.j1, self.j2 + 1)
-
-    @property
-    def p(self) -> int:
-        return self.eigenvalues.shape[1]
 
 
 def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEigenSpectrum:
@@ -97,12 +74,12 @@ def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEi
     p = covs[0].matrix.shape[0]
     lam = np.empty((len(covs), p))
     for i, cov in enumerate(covs):
-        lam[i], _ = sym_eigen(cov.matrix)
+        lam[i] = np.linalg.eigh(cov.matrix)[0]
     flags = lam < floor
     with np.errstate(divide="ignore", invalid="ignore"):
         log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
     return LogEigenSpectrum(
         j1=js[0], j2=js[-1], counts=tuple(c.n_j for c in covs),
-        eigenvalues=lam, log2_eigenvalues=log2lam, zero_flags=flags, floor=floor,
+        eigenvalues=lam, log2_eigenvalues=log2lam, zero_flags=flags,
     )
 

@@ -8,7 +8,7 @@ import numpy as np
 
 def jacobi_eigen(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     """Cyclic Jacobi eigendecomposition, the small-matrix cross-check for
-    sym_eigen. Independent of LAPACK; intended for p <= ~16."""
+    np.linalg.eigh. Independent of LAPACK; intended for p <= ~16."""
     a = np.array(matrix, dtype=np.float64)
     n = a.shape[0]
     if a.shape != (n, n):

@@ -1,12 +1,20 @@
+import contextlib
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eigenwave.cli import main
-from eigenwave.config import ConfigError, build_mc_config, preset_config, resolve_config
+from eigenwave.config import (PRESETS, ConfigError, build_mc_config, preset_config,
+                              resolve_config)
 from eigenwave.montecarlo import draw_observation
-from eigenwave.series import read_series_binary, read_series_csv
+from eigenwave.series import (MultivariateSeries, read_series_binary, read_series_csv,
+                              write_series_binary, write_series_csv)
 
 MINIMAL = {
     "model": {
@@ -316,6 +324,7 @@ INVALID_MODELS = {
     "nonstationary AR": ({"noise": {"kind": "arma", "ar": [1.5]}}, "model.noise"),
     "hurst count": ({"hurst": [0.4, 0.6]}, "model.hurst"),
     "n not a power of two": ({"n": 1000}, "model.n"),
+    "n written as a float": ({"n": 1024.0}, "model.n"),
 }
 
 
@@ -354,6 +363,8 @@ BAD_OVERRIDES = [
     ("mc", "--seed", "-1", "mc.master_seed"),
     ("estimate", "--kappa", "0", "analysis.kappa"),
     ("estimate", "--kappa", "-1", "analysis.kappa"),
+    ("estimate", "--kappa", "nan", "analysis.kappa"),
+    ("estimate", "--kappa", "inf", "analysis.kappa"),
     ("estimate", "--out", "", "io.out_dir"),
 ]
 
@@ -494,11 +505,22 @@ class TestPresets:
         assert (cfg["analysis"]["j1"], cfg["analysis"]["j2"]) == (4, 6)
         assert cfg["mc"]["ratio"] == 0.5
 
-    def test_unknown_preset(self, capsys):
-        # argparse rejects the choice itself, also with exit status 2
-        with pytest.raises(SystemExit) as err:
-            main(["mc", "--preset", "fig9"])
-        assert err.value.code == 2
+    def test_unknown_preset(self, tmp_path, capsys, monkeypatch):
+        # argparse rejections end like every other rejected input
+        monkeypatch.chdir(tmp_path)
+        for argv, error in (
+                (["mc", "--preset", "fig9"], "argument --preset: invalid choice: 'fig9'"),
+                (["mc", "--preset", "fig4", "--reps", "abc"],
+                 "argument --reps: invalid int value: 'abc'"),
+                (["mc", "--preset", "fig4", "--bogus"], "unrecognized arguments: --bogus"),
+                ([], "the following arguments are required: command")):
+            code, _, err = run(argv, capsys)
+            assert code == 2, err
+            assert err.count("\n") == 1
+            msg = json.loads(err)
+            assert msg["code"] == 2 and msg["path"] == ""
+            assert msg["error"].startswith(error)
+        assert not any(tmp_path.iterdir())
 
 
 class TestResolveConfig:
@@ -531,7 +553,189 @@ class TestResolveConfig:
         daubechies = {"j1": 2, "j2": 5, "family": "daubechies", "n_vanishing": 4}
         assert resolve_config({"analysis": daubechies})["analysis"]["n_vanishing"] == 4
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("analysis", "j2", "5.0"), ("analysis", "n_vanishing", "2.0"),
+        ("mc", "replications", "3.0"), ("mc", "master_seed", "7.0"),
+        ("model", "r", "1.0"), ("model", "p", "true"),
+        ("mc", "ratio", "1e400"),
+        pytest.param("mc", "ratio", "1" + "0" * 400, id="mc-ratio-10**400"),
+        ("model", "hurst", "[-1e999]")])
+    def test_integers_are_true_integers_and_numbers_finite(self, section, key, value):
+        # the values as json.load reads them: 1e400 overflows to a float inf
+        doc = json.loads(json.dumps(MINIMAL))
+        doc[section][key] = json.loads(value)
+        with pytest.raises(ConfigError) as err:
+            resolve_config(doc)
+        assert err.value.path.startswith(f"{section}.{key}")
+
     def test_haar_rejects_other_vanishing_moments(self):
         with pytest.raises(ConfigError) as err:
             resolve_config({"analysis": {"j1": 2, "j2": 5, "family": "haar", "n_vanishing": 4}})
         assert err.value.path == "analysis.n_vanishing"
+
+
+def assert_rejected(argv, files, capsys):
+    """main, run in an empty directory holding only `files`, rejects argv
+    with exit 2 or 3 and a single JSON line on stderr, and writes nothing;
+    an exception escaping main fails the test."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        code, _, err = run(argv, capsys)
+        left = sorted(os.listdir())
+    assert code in (2, 3), err
+    assert err.count("\n") == 1, err
+    assert json.loads(err)["code"] == code
+    assert left == sorted(files)
+
+
+def _paths(doc, prefix=()):
+    """The path of every key and list entry in a JSON document."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+MINIMAL_PATHS = list(_paths(MINIMAL))
+REQUIRED = [("analysis",), ("analysis", "j1"), ("analysis", "j2"), ("model",),
+            ("model", "r"), ("model", "hurst"), ("model", "n"),
+            ("model", "mixing", "kind"), ("model", "noise", "kind")]
+
+
+def _wrong_values(value):
+    """Values the loader or the schema rejects wherever `value` stands in
+    MINIMAL; NaN and Infinity are written as their non-standard constants."""
+    wrong = [[{}], float("nan"), float("-inf")]
+    if not isinstance(value, str):
+        wrong.append("1")
+    if not isinstance(value, bool):
+        wrong.append(True)
+    if isinstance(value, int) and not isinstance(value, bool):
+        wrong.append(float(value))
+    return wrong
+
+
+@st.composite
+def broken_configs(draw):
+    """Config file bytes that break MINIMAL in one way, or arbitrary bytes."""
+    kind = draw(st.sampled_from(["replace", "unknown key", "drop", "truncate", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    doc = json.loads(json.dumps(MINIMAL))
+    if kind == "replace":
+        *parent, key = draw(st.sampled_from(MINIMAL_PATHS))
+        target = _at(doc, parent)
+        target[key] = draw(st.sampled_from(_wrong_values(target[key])))
+    elif kind == "unknown key":
+        objects = [()] + [path for path in MINIMAL_PATHS if isinstance(_at(MINIMAL, path), dict)]
+        _at(doc, draw(st.sampled_from(objects)))["typo_" + draw(st.text())] = 1
+    elif kind == "drop":
+        *parent, key = draw(st.sampled_from(REQUIRED))
+        del _at(doc, parent)[key]
+    text = json.dumps(doc).encode()
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+MINIMAL_TEXT = json.dumps(MINIMAL)
+FUZZ = settings(max_examples=80, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@FUZZ
+@given(config=broken_configs())
+@example(config=MINIMAL_TEXT.replace('"n": 1024', '"n": 1024.0').encode())
+@example(config=MINIMAL_TEXT.replace('"ratio": 1.0', '"ratio": Infinity').encode())
+@example(config=MINIMAL_TEXT.replace('"j2": 5', '"j2": 5.0')
+         .replace('"replications": 4', '"replications": 3.0').encode())
+@example(config=MINIMAL_TEXT.replace('{"kind": "none"}',
+                                     '{"kind": "iid_gaussian", "variance": Infinity}').encode())
+@example(config=MINIMAL_TEXT.replace('"j1": 2', '"j1": 2, "n_vanishing": 2.0').encode())
+@example(config=MINIMAL_TEXT.replace('[0.5]', '[NaN]').encode())
+@example(config=MINIMAL_TEXT.replace('"ratio": 1.0', '"ratio": 1e400').encode())
+@example(config=b"[" * 100_000)
+@example(config=b"\xff")
+def test_rejected_config_ends_in_one_json_line(capsys, command, config):
+    assert_rejected([command, "--config", "c.json"], {"c.json": config}, capsys)
+
+
+def _series_bytes(writer):
+    series = MultivariateSeries(np.arange(16.0).reshape(2, 8) / 7.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        writer(series, Path(tmp) / "y")
+        return (Path(tmp) / "y").read_bytes()
+
+
+@st.composite
+def mutated(draw, data):
+    """data with one byte replaced, cut short, or extended."""
+    i = draw(st.integers(0, len(data) - 1))
+    return draw(st.sampled_from([
+        data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:],
+        data[:i],
+        data + draw(st.binary(min_size=1, max_size=64)),
+    ]))
+
+
+# Every readable series below is far too short to reach octave 12, so each
+# example is rejected: by the reader, or by the octave-range rule.
+DATA_CONFIG = json.dumps({"analysis": {"j1": 1, "j2": 12}}).encode()
+
+
+@FUZZ
+@given(name=st.sampled_from(["y.csv", "y.bin"]),
+       data=st.one_of(st.binary(max_size=2048),
+                      mutated(_series_bytes(write_series_binary)),
+                      mutated(_series_bytes(write_series_csv))))
+@example(name="y.csv", data=b"t,y_1\n0,nan\n")
+@example(name="y.csv", data=b"t,y_1\n0,\xff\n")
+@example(name="y.bin", data=b"MVS1" + bytes(12))
+def test_rejected_data_ends_in_one_json_line(capsys, name, data):
+    assert_rejected(["estimate", "--config", "c.json", "--data", name],
+                    {"c.json": DATA_CONFIG, name: data}, capsys)
+
+
+def _rejects(convert, valid=lambda value: True):
+    """Flag values argparse cannot convert, or whose value the schema rejects."""
+    def rejected(text):
+        try:
+            return not valid(convert(text))
+        except ValueError:
+            return True
+    return st.text().filter(rejected)
+
+
+BREAKERS = st.one_of(
+    st.tuples(st.just("--reps"), _rejects(int, lambda v: v >= 1)),
+    st.tuples(st.just("--seed"), _rejects(int, lambda v: v >= 0)),
+    st.tuples(st.just("--workers"), _rejects(int)),
+    st.tuples(st.just("--kappa"), _rejects(float, lambda v: np.isfinite(v) and v > 0)),
+    st.tuples(st.just("--preset"), st.text().filter(lambda t: t not in PRESETS)),
+    st.tuples(st.just("--config"), st.just("missing.json")),
+    st.tuples(st.just("--data"), st.just("missing.bin")),
+    st.tuples(st.just("--out"), st.just("")),
+    st.tuples(st.text().map(lambda t: "--no-such-" + t)),
+    st.tuples(st.text(min_size=1).filter(lambda t: not t.startswith("-"))),
+)
+COMMANDS = [[], ["simulate", "--preset", "fig4"], ["estimate", "--preset", "fig4"],
+            ["mc", "--preset", "fig4", "--reps", "2"]]
+
+
+@FUZZ
+@given(argv=st.tuples(st.sampled_from(COMMANDS), BREAKERS).map(lambda t: [*t[0], *t[1]]))
+@example(argv=["mc", "--preset", "fig4", "--reps", "abc"])
+@example(argv=["mc", "--preset", "fig9"])
+@example(argv=["mc", "--preset", "fig4", "--bogus"])
+@example(argv=[])
+@example(argv=["estimate", "--preset", "fig4", "--kappa", "nan"])
+def test_rejected_argv_ends_in_one_json_line(capsys, argv):
+    assert_rejected(argv, {}, capsys)

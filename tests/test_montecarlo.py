@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from eigenwave.estimators import OctaveRangeError, estimate_series
-from eigenwave.montecarlo import (GammaPlotData, McConfig, gamma_plot,
-                                  ks_critical, ks_statistic,
-                                  ks_subset_average, mahalanobis_sq,
-                                  run_replications, summarize)
+from eigenwave.montecarlo import (McConfig, gamma_plot, ks_critical,
+                                  ks_statistic, ks_subset_average,
+                                  mahalanobis_sq, run_replications, summarize)
 from eigenwave.simulate import (NoiseSpec, OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
 from eigenwave.special import chi2_quantile
@@ -140,26 +139,20 @@ class TestKs:
 
 class TestGammaPlot:
     def test_shapes_and_monotonicity(self):
+        # gamma_plot alone guarantees equal lengths and sorted sequences
         rng = np.random.default_rng(10)
-        data = rng.standard_normal((80, 2))
-        plot = gamma_plot(data)
-        assert plot.d2.shape == plot.chi2_quantiles.shape == (80,)
-        assert np.all(np.diff(plot.d2) >= 0)
-        assert np.all(np.diff(plot.chi2_quantiles) >= 0)
-        assert plot.dof == 2
+        cases = [(r, m) for r in range(1, 7) for m in (5 * r + 1, 80, 997)]
+        for r, m in cases + [(1, 5000), (6, 5000)]:
+            plot = gamma_plot(rng.standard_normal((m, r)))
+            assert plot.d2.shape == plot.chi2_quantiles.shape == (m,)
+            assert np.all(np.diff(plot.d2) >= 0)
+            assert np.all(np.diff(plot.chi2_quantiles) >= 0)
+            assert plot.dof == r
 
     def test_refuses_small_samples(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError, match="M > 5r"):
             gamma_plot(rng.standard_normal((10, 2)))
-
-    def test_type_invariants_enforced(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            GammaPlotData(d2=np.array([2.0, 1.0]), chi2_quantiles=np.array([1.0, 2.0]),
-                          dof=2, ks_stat=0.1, ks_reject=False, ks_critical=0.3)
-        with pytest.raises(ValueError, match="equal length"):
-            GammaPlotData(d2=np.array([1.0]), chi2_quantiles=np.array([1.0, 2.0]),
-                          dof=2, ks_stat=0.1, ks_reject=False, ks_critical=0.3)
 
 
 class TestRunReplications:
