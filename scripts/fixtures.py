@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The twelve runs take about 11 s on two cores. This is a tool for refactors that
+The fourteen runs take about 10 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -40,6 +40,16 @@ FLOORED = {
     "io": {"formats": ["csv", "binary"], "components": True},
 }
 
+# Cross-covariance 0.99 between exponents 0.1 and 0.9 is not admissible, so
+# the circulant embedding clips: simulate warns, and every mc replication is
+# flagged, so the study exits 3.
+CLIPPED = {
+    "model": {"r": 2, "hurst": [0.1, 0.9], "point_cov": [[1.0, 0.99], [0.99, 1.0]],
+              "mixing": {"kind": "canonical"}, "n": 1024, "p": 2},
+    "analysis": {"j1": 2, "j2": 5},
+    "io": {"components": True},
+}
+
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
     "mc-arma-wide": ["mc", "--config", str(ROOT / "perfbench/workloads/arma-wide.json"),
@@ -57,6 +67,8 @@ FIXTURES = {
     "estimate-floored-csv": ["estimate", "--config", "floored.json",
                              "--data", "simulate-floored/series_y.csv"],
     "mc-floored": ["mc", "--config", "floored.json"],
+    "simulate-clipped": ["simulate", "--config", "clipped.json"],
+    "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
 }
 
 
@@ -75,6 +87,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.out} is not empty")
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "floored.json").write_text(json.dumps(FLOORED))
+    (args.out / "clipped.json").write_text(json.dumps(CLIPPED))
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     lines = []
     for name, command in FIXTURES.items():

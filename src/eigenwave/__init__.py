@@ -5,6 +5,17 @@ from the eigenvalues of per-scale wavelet covariance matrices, and ships
 a synthesis engine plus Monte Carlo harness for validating the method.
 The rest of the library is imported from its submodules.
 """
+import os
+
+# One BLAS thread per process, set before the submodules load numpy. The
+# batched linear algebra here works on matrices of a few dozen rows, where
+# extra BLAS threads only spin beside the Monte Carlo pool's workers (which
+# fork from the CLI and inherit this); parallelism comes from --workers. A
+# value the user has already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .estimators import estimate_series
 from .simulate import OfBmSpec, cumulative_path, synthesize_ofbm_increments
 from .wavelets import make_filter_bank

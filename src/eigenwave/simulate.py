@@ -9,6 +9,7 @@ absent).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,15 +151,14 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _circulant_spectrum(spec: OfBmSpec, n: int):
+def _circulant_spectrum(hurst: tuple, point_cov: np.ndarray, n: int):
     """Spectral r x r matrices of the length-2n circulant embedding."""
-    r = spec.r
+    r = len(hurst)
     lags = np.arange(n + 1)
     cov = np.empty((n + 1, r, r))
     for a in range(r):
         for b in range(a, r):
-            g = fgn_cross_covariance(spec.hurst[a], spec.hurst[b],
-                                     spec.point_cov[a, b], lags)
+            g = fgn_cross_covariance(hurst[a], hurst[b], point_cov[a, b], lags)
             cov[:, a, b] = g
             cov[:, b, a] = g
     # Even periodic extension to length 2n; its DFT is real and symmetric
@@ -166,6 +166,26 @@ def _circulant_spectrum(spec: OfBmSpec, n: int):
     seq = np.concatenate([cov, cov[1:-1][::-1]], axis=0)
     spectra = np.fft.rfft(seq, axis=0).real
     return spectra
+
+
+@lru_cache(maxsize=1)
+def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
+    """Square roots of the embedding's spectral matrices at frequencies
+    0..n, read-only, and the relative spectral energy clipped to make them.
+
+    They depend only on the model and n, so every draw of a study shares
+    them; keyed on the bytes of point_cov, since ndarrays do not hash. Built
+    at the first draw of each process, never sent to pool workers.
+    """
+    r = len(hurst)
+    cov = np.frombuffer(point_cov, dtype=np.float64).reshape(r, r)
+    lam, vec = np.linalg.eigh(_circulant_spectrum(hurst, cov, n))  # (n+1, r, r)
+    clipped = np.maximum(-lam, 0.0).sum()
+    total = np.abs(lam).sum()
+    clip_energy = float(clipped / total) if total > 0 else 0.0
+    half = vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+    half.flags.writeable = False
+    return half, clip_energy
 
 
 def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
@@ -183,20 +203,16 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
     rng = _rng(seed)
     r = spec.r
     m = 2 * n
-    spectra = _circulant_spectrum(spec, n)  # (n+1, r, r)
-    lam, vec = np.linalg.eigh(spectra)
-    clipped = np.maximum(-lam, 0.0).sum()
-    total = np.abs(lam).sum()
-    clip_energy = float(clipped / total) if total > 0 else 0.0
-    lam = np.maximum(lam, 0.0)
-    half = vec * np.sqrt(lam)[:, None, :]  # (n+1, r, r), rows f = 0..n
-    roots = np.empty((m, r, r))
-    roots[: n + 1] = half
-    roots[n + 1:] = half[1:-1][::-1]  # spectrum is even in frequency
+    half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
+    mirrored = half[1:-1][::-1]  # frequencies n+1..2n-1; the spectrum is even
+
+    def shape(noise):
+        return np.concatenate([np.matmul(half, noise[: n + 1, :, None])[..., 0],
+                               np.matmul(mirrored, noise[n + 1:, :, None])[..., 0]])
+
     noise_re = rng.standard_normal((m, r)) / np.sqrt(2.0)
     noise_im = rng.standard_normal((m, r)) / np.sqrt(2.0)
-    shaped = (np.matmul(roots, noise_re[..., None])[..., 0]
-              + 1j * np.matmul(roots, noise_im[..., None])[..., 0])
+    shaped = shape(noise_re) + 1j * shape(noise_im)
     increments = np.sqrt(2.0 * m) * np.fft.ifft(shaped, axis=0)[:n].real
     warning = None
     if clip_energy > CLIP_ENERGY_TOL:

@@ -42,3 +42,44 @@ def jacobi_eigen(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     lam = np.diag(a).copy()
     order = np.argsort(lam, kind="stable")
     return lam[order], v[:, order]
+
+
+def synthesize_ofbm_reference(spec, n: int, seed):
+    """Circulant-embedding synthesis as written before the embedding root
+    was cached: it factors the spectrum on every call and shapes the noise
+    with the full mirrored (2n, r, r) array of roots. Same RNG order, so
+    eigenwave's synthesize_ofbm_increments must match it bit for bit.
+
+    Returns (increments as an (r, n) array, clipped energy, warning).
+    """
+    from eigenwave.simulate import CLIP_ENERGY_TOL, fgn_cross_covariance
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    r, m = spec.r, 2 * n
+    lags = np.arange(n + 1)
+    cov = np.empty((n + 1, r, r))
+    for a in range(r):
+        for b in range(a, r):
+            g = fgn_cross_covariance(spec.hurst[a], spec.hurst[b], spec.point_cov[a, b], lags)
+            cov[:, a, b] = g
+            cov[:, b, a] = g
+    spectra = np.fft.rfft(np.concatenate([cov, cov[1:-1][::-1]], axis=0), axis=0).real
+    lam, vec = np.linalg.eigh(spectra)
+    clipped = np.maximum(-lam, 0.0).sum()
+    total = np.abs(lam).sum()
+    clip_energy = float(clipped / total) if total > 0 else 0.0
+    half = vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+    roots = np.empty((m, r, r))
+    roots[: n + 1] = half
+    roots[n + 1:] = half[1:-1][::-1]
+    noise_re = rng.standard_normal((m, r)) / np.sqrt(2.0)
+    noise_im = rng.standard_normal((m, r)) / np.sqrt(2.0)
+    shaped = (np.matmul(roots, noise_re[..., None])[..., 0]
+              + 1j * np.matmul(roots, noise_im[..., None])[..., 0])
+    increments = np.sqrt(2.0 * m) * np.fft.ifft(shaped, axis=0)[:n].real
+    warning = None
+    if clip_energy > CLIP_ENERGY_TOL:
+        warning = (
+            f"circulant embedding clipped {clip_energy:.3e} relative spectral "
+            f"energy; output covariance is approximate"
+        )
+    return increments, clip_energy, warning

@@ -1,6 +1,9 @@
 import contextlib
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import eigenwave
 from eigenwave.cli import main
 from eigenwave.config import (PRESETS, ConfigError, build_mc_config, preset_config,
                               resolve_config)
@@ -28,6 +32,18 @@ MINIMAL = {
     "analysis": {"j1": 2, "j2": 5},
     "mc": {"replications": 4, "master_seed": 7, "ratio": 1.0},
     "io": {"formats": ["csv", "binary"]},
+}
+
+
+# Cross-covariance 0.99 between exponents 0.1 and 0.9 is not admissible:
+# the circulant embedding clips, and every draw is flagged.
+CLIPPED_MODEL = {
+    "r": 2,
+    "hurst": [0.1, 0.9],
+    "point_cov": [[1.0, 0.99], [0.99, 1.0]],
+    "mixing": {"kind": "canonical"},
+    "n": 1024,
+    "p": 2,
 }
 
 
@@ -251,6 +267,19 @@ class TestMc:
         assert effective["mc"]["master_seed"] == 5
         lines = (out / "records.ndjson").read_text().splitlines()
         assert len(lines) == 20
+
+    @pytest.mark.parametrize("model, argv, expected", [
+        (None, ["--preset", "fig4", "--reps", "4"], 0),
+        # every replication is flagged, so the study fails after its pool
+        (CLIPPED_MODEL, ["--reps", "3"], 3),
+    ])
+    def test_no_worker_outlives_a_pooled_study(self, tmp_path, capsys, model, argv, expected):
+        if model is not None:
+            argv = [*argv, "--config", write_config(tmp_path, {**MINIMAL, "model": model})]
+        code, _, err = run(["mc", *argv, "--workers", "2",
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == expected, err
+        assert multiprocessing.active_children() == []
 
     def test_tiny_run_skips_gamma_outputs(self, tmp_path, capsys):
         # below the M > 5r covariance-stability cut the distributional
@@ -489,6 +518,25 @@ class TestSharedDraw:
                             "--out", str(read)], capsys)
         assert code == 0, err
         assert (drawn / "estimate.json").read_bytes() == (read / "estimate.json").read_bytes()
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+])
+def test_import_runs_blas_on_one_thread_unless_set(preset, expected):
+    env = {key: value for key, value in os.environ.items()
+           if key not in BLAS_THREAD_VARIABLES}
+    env.update(preset, PYTHONPATH=str(Path(eigenwave.__file__).parent.parent))
+    script = ("import os, eigenwave; "
+              f"print(*(os.environ.get(key) for key in {BLAS_THREAD_VARIABLES!r}))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected
 
 
 class TestPresets:

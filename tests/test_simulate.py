@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from oracles import synthesize_ofbm_reference
 
 from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
+                                SynthesisDiagnostics, _embedding_root,
                                 assemble_observations, cumulative_path,
                                 fgn_cross_covariance, make_mixing_matrix,
                                 synthesize_noise, synthesize_ofbm_increments)
@@ -140,6 +142,53 @@ class TestSynthesis:
         series, diag = synthesize_ofbm_increments(spec, 256, 3)
         assert diag.clipped_energy > 1e-6
         assert diag.warning is not None
+
+
+CLIPPED = OfBmSpec(hurst=(0.1, 0.9), point_cov=np.array([[1.0, 0.99], [0.99, 1.0]]))
+UNCLIPPED = OfBmSpec(hurst=(0.1, 0.9), point_cov=np.eye(2))
+FIG4_LIKE = OfBmSpec(hurst=(0.25, 0.5, 0.75), point_cov=np.eye(3))
+FIG4_CORRELATED = OfBmSpec(hurst=(0.25, 0.5, 0.75),
+                           point_cov=np.array([[1.0, 0.3, 0.1],
+                                               [0.3, 1.0, 0.3],
+                                               [0.1, 0.3, 1.0]]))
+UNIVARIATE = OfBmSpec(hurst=(0.7,), point_cov=np.eye(1))
+FIG1_LIKE = OfBmSpec(hurst=(0.1, 0.3, 0.5, 0.6, 0.8, 0.9),
+                     point_cov=np.array([1.0, 0.2, 0.2, 0.3, 0.2, 0.3])[
+                         np.abs(np.subtract.outer(np.arange(6), np.arange(6)))])
+
+# Each call follows one with another spec or n (a stale cached root shows),
+# and some repeat the call before them (a cache hit must match too). Specs
+# that share their Hurst exponents differ only in point_cov. The clipped
+# spec is drawn afresh, from the cache, and again after its unclipped twin;
+# it must report its energy and warning every time.
+CACHED_DRAWS = [
+    (UNIVARIATE, 512, 1), (UNIVARIATE, 512, 2), (UNIVARIATE, 256, 2),
+    (FIG4_LIKE, 1024, 3), (FIG4_CORRELATED, 1024, 3), (FIG4_LIKE, 1024, 4),
+    (FIG1_LIKE, 256, 5), (FIG1_LIKE, 256, 6), (FIG1_LIKE, 512, 6),
+    (CLIPPED, 256, 3), (CLIPPED, 256, 7), (UNCLIPPED, 256, 3), (CLIPPED, 256, 8),
+    (UNIVARIATE, 512, 1), (FIG4_CORRELATED, 1024, 9),
+]
+
+
+class TestCachedSynthesis:
+    """The embedding root is factored once per (hurst, point_cov, n); every
+    draw must still equal the synthesis that factors it on each call."""
+
+    def test_bit_identical_to_uncached_synthesis(self):
+        for spec, n, seed in CACHED_DRAWS:
+            series, diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
+            ref, clip_energy, warning = synthesize_ofbm_reference(
+                spec, n, np.random.default_rng(seed))
+            assert series.values.tobytes() == ref.T.tobytes(), (spec.hurst, n, seed)
+            assert diag == SynthesisDiagnostics(clip_energy, warning), (spec.hurst, n, seed)
+
+    def test_cached_root_is_read_only(self):
+        synthesize_ofbm_increments(FIG4_LIKE, 1024, 1)
+        half, _ = _embedding_root(FIG4_LIKE.hurst, FIG4_LIKE.point_cov.tobytes(), 1024)
+        assert half.shape == (1024 + 1, 3, 3)
+        assert not half.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            half[0, 0, 0] = 1.0
 
 
 class TestMixing:
