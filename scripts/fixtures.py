@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The fourteen runs take about 10 s on two cores. This is a tool for refactors that
+The fifteen runs take about 8 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -67,6 +67,8 @@ FIXTURES = {
     "estimate-floored-csv": ["estimate", "--config", "floored.json",
                              "--data", "simulate-floored/series_y.csv"],
     "mc-floored": ["mc", "--config", "floored.json"],
+    # three replications on four requested workers: the pool starts three
+    "mc-floored-w4": ["mc", "--config", "floored.json", "--workers", "4"],
     "simulate-clipped": ["simulate", "--config", "clipped.json"],
     "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
 }

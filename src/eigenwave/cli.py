@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PRESETS, ConfigError, build_mc_config, preset_config, resolve_config
-from .estimators import OctaveRangeError, estimate_series, write_result_csv, write_result_json
+from .estimators import OctaveRangeError, estimate_series, result_to_json, write_result_csv
 from .montecarlo import (draw_observation, gamma_plot, ks_subset_average,
                          run_replications, summarize, write_gamma_csv,
                          write_ks_json, write_records_ndjson, write_sweep_csv)
@@ -37,10 +37,8 @@ def _fail(code: int, message: str, **extra) -> int:
 
 def _load_config(args) -> dict:
     if args.preset:
-        if args.config:
-            raise ConfigError("give either --preset or --config, not both")
         doc = preset_config(args.preset)
-    elif args.config:
+    else:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -48,8 +46,6 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config: {exc}")
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-    else:
-        raise ConfigError("a --config file or a --preset is required")
     # an override flag's dest is the config path it writes; a document or
     # section that is not an object is left for the schema to reject
     for dest, value in vars(args).items():
@@ -114,7 +110,7 @@ def cmd_estimate(args) -> int:
     )
     out = _out_dir(cfg)
     write_result_csv(result, out / "estimate.csv")
-    write_result_json(result, out / "estimate.json")
+    write_json(result_to_json(result), out / "estimate.json")
     write_json(cfg, out / "effective_config.json")
     return 0
 
@@ -130,8 +126,6 @@ def cmd_mc(args) -> int:
     truth = cfg["model"]["hurst"]
     summary = summarize(records, kappa_grid=mc_config.kappa_grid, true_hurst=truth)
     good = [rec for rec in records if not rec.flagged]
-    if not good:
-        raise ValueError("every replication was flagged by synthesis diagnostics")
     try:
         plot = gamma_plot(np.array([rec.h_hat for rec in good]))
     except ValueError as exc:
@@ -161,6 +155,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="eigenwave",
@@ -171,20 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, reps=False, workers=False, data=False):
-        p.add_argument("--config", metavar="PATH", help="run config JSON")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", metavar="PATH", help="run config JSON")
+        source.add_argument("--preset", choices=sorted(PRESETS),
+                            help="named experiment preset")
         p.add_argument("--seed", dest="mc.master_seed", type=int, metavar="U64",
                        help="sets mc.master_seed")
         p.add_argument("--kappa", dest="analysis.kappa", type=float, metavar="F",
                        help="sets analysis.kappa")
         p.add_argument("--out", dest="io.out_dir", metavar="DIR", help="sets io.out_dir")
-        p.add_argument("--preset", choices=sorted(PRESETS),
-                       help="named experiment preset")
         if reps:
             p.add_argument("--reps", dest="mc.replications", type=int, metavar="M",
                            help="sets mc.replications")
         if workers:
-            p.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="parallel worker processes (default 1)")
+            p.add_argument("--workers", type=positive_int, default=1, metavar="N",
+                           help="parallel worker processes, at least 1 (default 1)")
         if data:
             p.add_argument("--data", metavar="PATH",
                            help="series file (.csv or binary) to estimate from")

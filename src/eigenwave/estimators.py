@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MultivariateSeries, write_json
+from .series import MultivariateSeries, write_csv
 from .spectrum import (DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, log_eigen_spectrum,
                        wavelet_covariance)
 from .wavelets import FilterPair, check_series_length, pyramid_transform, valid_count
@@ -62,10 +62,6 @@ class RegressionWeights:
     v: np.ndarray
     scheme: str
 
-    @property
-    def octaves(self) -> np.ndarray:
-        return np.arange(self.j1, self.j2 + 1)
-
 
 def regression_weights(j1: int, j2: int, counts=None,
                        scheme: str = COUNT_WEIGHTED) -> RegressionWeights:
@@ -99,12 +95,16 @@ def regression_weights(j1: int, j2: int, counts=None,
     return RegressionWeights(j1, j2, w, js * w, scheme)
 
 
-def _check_octaves(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> None:
+def _defined_log2(spectrum: LogEigenSpectrum, weights: RegressionWeights):
+    """The mask of indices unflagged at every octave, and the log2 eigenvalues
+    with flagged entries zeroed; spectrum and weights must share octaves."""
     if (spectrum.j1, spectrum.j2) != (weights.j1, weights.j2):
         raise ValueError(
             f"spectrum covers octaves {spectrum.j1}..{spectrum.j2}, "
             f"weights cover {weights.j1}..{weights.j2}"
         )
+    return (~spectrum.zero_flags.any(axis=0),
+            np.where(spectrum.zero_flags, 0.0, spectrum.log2_eigenvalues))
 
 
 def scaling_exponents(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
@@ -113,9 +113,7 @@ def scaling_exponents(spectrum: LogEigenSpectrum, weights: RegressionWeights) ->
     Indices flagged as zero at any octave (rank-deficient or mixed-rank
     directions) get NaN rather than a number built from floored values.
     """
-    _check_octaves(spectrum, weights)
-    defined = ~spectrum.zero_flags.any(axis=0)
-    log2lam = np.where(spectrum.zero_flags, 0.0, spectrum.log2_eigenvalues)
+    defined, log2lam = _defined_log2(spectrum, weights)
     ell = 0.5 * ((weights.w[:, None] * log2lam).sum(axis=0) - 1.0)
     return np.where(defined, ell, np.nan)
 
@@ -143,10 +141,8 @@ def scaling_diagnostic(spectrum: LogEigenSpectrum, weights: RegressionWeights) -
     Flagged indices map to -inf so they can never exceed a positive
     threshold.
     """
-    _check_octaves(spectrum, weights)
-    js = weights.octaves.astype(np.float64)
-    defined = ~spectrum.zero_flags.any(axis=0)
-    log2lam = np.where(spectrum.zero_flags, 0.0, spectrum.log2_eigenvalues)
+    defined, log2lam = _defined_log2(spectrum, weights)
+    js = np.arange(weights.j1, weights.j2 + 1, dtype=np.float64)
     diag = (weights.v[:, None] * log2lam / js[:, None]).sum(axis=0)
     return np.where(defined, diag, -np.inf)
 
@@ -172,15 +168,13 @@ def kappa_sweep(diagnostic_samples, kappa_grid, true_r: int | None = None):
     grid = np.asarray(kappa_grid, dtype=np.float64)
     if grid.size < 1:
         raise ValueError("kappa grid is empty")
-    rows = []
-    for kappa in grid:
-        counts = (samples > kappa).sum(axis=1)
-        mean = float(counts.mean())
-        q05 = float(np.quantile(counts, 0.05))
-        q95 = float(np.quantile(counts, 0.95))
-        exact = None if true_r is None else mean == float(true_r)
-        rows.append((float(kappa), mean, q05, q95, exact))
-    return rows
+    # (M, K) counts, built one threshold at a time to hold M x p, not M x p x K
+    counts = np.stack([(samples > kappa).sum(axis=1) for kappa in grid], axis=1)
+    means = counts.mean(axis=0)
+    q05, q95 = np.quantile(counts, [0.05, 0.95], axis=0)
+    return [(float(kappa), float(mean), float(lo), float(hi),
+             None if true_r is None else float(mean) == float(true_r))
+            for kappa, mean, lo, hi in zip(grid, means, q05, q95)]
 
 
 @dataclass(frozen=True)
@@ -231,15 +225,10 @@ def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
 
 def write_result_csv(result: EstimationResult, path) -> None:
     """CSV export with columns i, ell_hat, delta, flagged."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("i,ell_hat,delta,flagged\n")
-        for i in range(result.p):
-            ell = result.ell_hat[i]
-            flagged = bool(np.isnan(ell))
-            ell_txt = "" if flagged else repr(float(ell))
-            d = result.delta[i]
-            d_txt = "-inf" if np.isinf(d) else repr(float(d))
-            fh.write(f"{i + 1},{ell_txt},{d_txt},{int(flagged)}\n")
+    flagged = np.isnan(result.ell_hat)
+    rows = ((i + 1, "" if flagged[i] else result.ell_hat[i], result.delta[i], int(flagged[i]))
+            for i in range(result.p))
+    write_csv(path, ["i", "ell_hat", "delta", "flagged"], rows)
 
 
 def result_to_json(result: EstimationResult) -> dict:
@@ -254,7 +243,3 @@ def result_to_json(result: EstimationResult) -> dict:
         "kappa": result.kappa,
         "h_hat": [float(x) for x in result.h_hat],
     }
-
-
-def write_result_json(result: EstimationResult, path) -> None:
-    write_json(result_to_json(result), path)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimators import (COUNT_WEIGHTED, DEFAULT_KAPPA, check_octave_range,
                          estimate_series, kappa_sweep)
-from .series import write_json
+from .series import write_csv, write_json
 from .simulate import (CLIP_ENERGY_TOL, MixingSpec, NoiseSpec, OfBmSpec,
                        assemble_observations, cumulative_path,
                        make_mixing_matrix, synthesize_noise,
@@ -121,10 +121,11 @@ def _replicate(config: McConfig, index: int) -> ReplicationRecord:
 def run_replications(config: McConfig, workers: int = 1):
     """All replications of a study, in index order.
 
-    Per-replication generators are seeded with (master seed, index), so the
-    records do not depend on the worker count.
+    Generators are seeded with (master seed, index), so the records do not
+    depend on the worker count; at most one worker starts per replication.
     """
     indices = range(config.replications)
+    workers = min(workers, config.replications)
     if workers <= 1:
         return [_replicate(config, i) for i in indices]
     chunk = max(1, config.replications // (8 * workers))
@@ -232,14 +233,14 @@ def gamma_plot(samples) -> GammaPlotData:
 def summarize(records, kappa_grid, true_hurst=None) -> dict:
     """Per-coordinate statistics of the exponent estimates and the
     effective-dimension sweep. Flagged replications are counted but
-    excluded from every statistic."""
+    excluded from every statistic; a study with none left fails."""
     records = list(records)
     if not records:
         raise ValueError("no records to summarize")
     good = [rec for rec in records if not rec.flagged]
-    out = {"replications": len(records), "flagged": len(records) - len(good)}
     if not good:
-        return out
+        raise ValueError("every replication was flagged by synthesis diagnostics")
+    out = {"replications": len(records), "flagged": len(records) - len(good)}
     h = np.array([rec.h_hat for rec in good])
     stats = {
         "mean": [float(x) for x in h.mean(axis=0)],
@@ -263,10 +264,8 @@ def write_gamma_csv(plot: GammaPlotData | None, path) -> None:
     """CSV export with columns m, d2_empirical, chi2_quantile; the header
     alone when plot is None (a study too small for a Gamma plot)."""
     rows = () if plot is None else zip(plot.d2, plot.chi2_quantiles)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("m,d2_empirical,chi2_quantile\n")
-        for m, (d, q) in enumerate(rows, start=1):
-            fh.write(f"{m},{repr(float(d))},{repr(float(q))}\n")
+    write_csv(path, ["m", "d2_empirical", "chi2_quantile"],
+              ((m, d, q) for m, (d, q) in enumerate(rows, start=1)))
 
 
 def write_ks_json(plot: GammaPlotData, path, subset: dict | None = None) -> None:
@@ -284,11 +283,8 @@ def write_ks_json(plot: GammaPlotData, path, subset: dict | None = None) -> None
 
 def write_sweep_csv(rows, path) -> None:
     """CSV export with columns kappa, mean, q05, q95, exact_match."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("kappa,mean,q05,q95,exact_match\n")
-        for kappa, mean, q05, q95, exact in rows:
-            tail = "" if exact is None else str(int(exact))
-            fh.write(f"{repr(kappa)},{repr(mean)},{repr(q05)},{repr(q95)},{tail}\n")
+    write_csv(path, ["kappa", "mean", "q05", "q95", "exact_match"],
+              ((*stats, "" if exact is None else int(exact)) for *stats, exact in rows))
 
 
 def write_records_ndjson(records, path) -> None:

@@ -43,14 +43,23 @@ class MultivariateSeries:
         return self.values.shape[1]
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a table as ASCII CSV with a header row and LF line ends: str
+    and int cells as they are, any other number as repr(float(x))."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _csv_cell(x) -> str:
+    return str(x) if isinstance(x, (str, int)) else repr(float(x))
+
+
 def write_series_csv(series: MultivariateSeries, path) -> None:
     """Write a series as CSV with columns t, y_1, ..., y_p."""
-    header = "t," + ",".join(f"y_{i + 1}" for i in range(series.p))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t in range(series.n):
-            row = ",".join(repr(float(x)) for x in series.values[:, t])
-            fh.write(f"{t},{row}\n")
+    header = ["t", *(f"y_{i + 1}" for i in range(series.p))]
+    write_csv(path, header, ((t, *col) for t, col in enumerate(series.values.T.tolist())))
 
 
 def read_series_csv(path) -> MultivariateSeries:

@@ -386,8 +386,11 @@ def test_ratio_derived_p_below_r_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# Each override flag writes one config key and is checked like that key.
+# Each override flag writes one config key and is checked like that key;
+# --workers writes none, so its error has an empty path.
 BAD_OVERRIDES = [
+    ("mc", "--workers", "0", ""),
+    ("mc", "--workers", "-1", ""),
     ("mc", "--reps", "0", "mc.replications"),
     ("mc", "--seed", "-1", "mc.master_seed"),
     ("estimate", "--kappa", "0", "analysis.kappa"),
@@ -765,7 +768,7 @@ def _rejects(convert, valid=lambda value: True):
 BREAKERS = st.one_of(
     st.tuples(st.just("--reps"), _rejects(int, lambda v: v >= 1)),
     st.tuples(st.just("--seed"), _rejects(int, lambda v: v >= 0)),
-    st.tuples(st.just("--workers"), _rejects(int)),
+    st.tuples(st.just("--workers"), _rejects(int, lambda v: v >= 1)),
     st.tuples(st.just("--kappa"), _rejects(float, lambda v: np.isfinite(v) and v > 0)),
     st.tuples(st.just("--preset"), st.text().filter(lambda t: t not in PRESETS)),
     st.tuples(st.just("--config"), st.just("missing.json")),

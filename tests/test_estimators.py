@@ -13,6 +13,7 @@ from eigenwave.simulate import (OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
 from eigenwave.spectrum import LogEigenSpectrum
 from eigenwave.wavelets import make_filter_bank
+from oracles import kappa_sweep_reference
 
 
 def spectrum_from_lambdas(lambdas, j1=1, floor=1e-10, counts=None):
@@ -211,6 +212,21 @@ class TestKappaSweep:
     def test_two_replication_mean(self):
         rows = kappa_sweep([[0.9], [1.1]], [1.0])
         assert rows[0][1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("m, p", [(1, 3), (2, 5), (7, 12), (60, 8), (997, 96)])
+    @pytest.mark.parametrize("true_r", [None, 2])
+    def test_equals_the_loop(self, m, p, true_r):
+        rng = np.random.default_rng([m, p])
+        # diagnostics on a 0.05 lattice tie with grid points; -inf marks
+        # flagged indices
+        samples = np.round(rng.normal(0.8, 0.8, size=(m, p)) / 0.05) * 0.05
+        samples[rng.random((m, p)) < 0.1] = -np.inf
+        grid = [0.025 * k for k in range(1, 40)] + [0.05, 0.5, 1.0]
+        rows = kappa_sweep(samples, grid, true_r=true_r)
+        expected = kappa_sweep_reference(samples, grid, true_r=true_r)
+        assert rows == expected
+        assert [tuple(map(type, row)) for row in rows] == [
+            tuple(map(type, row)) for row in expected]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eigenwave import montecarlo
 from eigenwave.estimators import OctaveRangeError, estimate_series
 from eigenwave.montecarlo import (McConfig, gamma_plot, ks_critical,
                                   ks_statistic, ks_subset_average,
@@ -174,6 +175,28 @@ class TestRunReplications:
         parallel = run_replications(cfg, workers=3)
         assert serial == parallel
 
+    def test_pool_starts_at_most_one_worker_per_replication(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_config(replications=3)
+        records = run_replications(cfg, workers=10 ** 6)
+        assert started == [3]
+        assert records == run_replications(cfg, workers=1)
+
     def test_noiseless_identity_reduces_to_direct_estimate(self):
         # p = r, canonical mixing, no noise: the replication is exactly the
         # univariate pipeline on the same latent realization
@@ -244,3 +267,11 @@ class TestSummarize:
         assert out["flagged"] == 1
         h = np.array([rec.h_hat for rec in records[1:]])
         assert out["h"]["mean"] == pytest.approx(list(h.mean(axis=0)))
+
+    def test_all_flagged_fails(self):
+        import dataclasses
+        records = [dataclasses.replace(rec, flagged=True)
+                   for rec in run_replications(small_config(replications=2))]
+        with pytest.raises(ValueError, match="^every replication was flagged by "
+                                             "synthesis diagnostics$"):
+            summarize(records, kappa_grid=[0.5])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eigenwave.series import (BINARY_MAGIC, MultivariateSeries, read_series_binary,
-                              read_series_csv, write_series_binary, write_series_csv)
+                              read_series_csv, write_csv, write_series_binary,
+                              write_series_csv)
 
 SERIES = MultivariateSeries(np.arange(12.0).reshape(3, 4) / 7.0)
 
@@ -42,3 +43,14 @@ def test_csv_header_only(tmp_path):
     path.write_text("t,y_1,y_2\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_series_csv(path)
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d"],
+              [("", 3, 0.1, np.float64(2.5)), ("x", -1, float("-inf"), np.float64(-np.inf)),
+               ("y", 0, 1e-300, np.float64(1) / 3)])
+    assert path.read_bytes() == (b"a,b,c,d\n"
+                                 b",3,0.1,2.5\n"
+                                 b"x,-1,-inf,-inf\n"
+                                 b"y,0,1e-300,0.3333333333333333\n")
