@@ -18,6 +18,9 @@ from .series import MultivariateSeries
 PSD_TOL = 1e-10
 UNIT_COLUMN_TOL = 1e-12
 CLIP_ENERGY_TOL = 1e-6
+# ARMA noise is filtered in blocks of this many samples, this many at a time
+_ARMA_BLOCK = 32
+_ARMA_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -247,6 +250,65 @@ def _arma_burn_in(spec: NoiseSpec) -> int:
     return max(512, int(np.ceil(10.0 * (len(spec.ar) + len(spec.ma) + decay))))
 
 
+def _lag_matrix(coefs, rows: int, first: int) -> np.ndarray:
+    """(rows, rows - first) matrix whose [k, c] entry is coefs[k - c - first]
+    where that lag lies in 0..len(coefs)-1, and 0 elsewhere."""
+    lag = np.arange(rows)[:, None] - np.arange(first, rows)
+    inside = (lag >= 0) & (lag < len(coefs))
+    return np.where(inside, np.asarray(coefs)[np.where(inside, lag, 0)], 0.0)
+
+
+def _arma_block_operators(ar: tuple, ma: tuple, block: int):
+    """The two operators of one block of the ARMA recursion.
+
+    For a block x[s:s+block], x = eps[s:s+block] @ zero_state + carry @
+    carried, where carry = (eps[s-nm:s], x[s-na:s]). zero_state is the
+    transposed lower-triangular Toeplitz matrix of the impulse response
+    psi_0 = 1, psi_k = ma_k + sum_i ar_i psi_{k-i}; carried holds the block's
+    response to each carried value with the block's own eps at zero.
+    """
+    na, nm = len(ar), len(ma)
+    phi = _lag_matrix((1.0, *(-a for a in ar)), block, -na)  # on x[s-na:s+block]
+    theta = _lag_matrix((1.0, *ma), block, -nm)  # on eps[s-nm:s+block]
+    # phi x = theta eps over the block, solved for the block's own x
+    sol = np.linalg.solve(phi[:, na:],
+                          np.hstack([theta[:, nm:], theta[:, :nm], -phi[:, :na]]))
+    return sol[:, :block].T.copy(), sol[:, block:].T.copy()
+
+
+def _arma_filter(eps: np.ndarray, ar: tuple, ma: tuple) -> None:
+    """Overwrite each row of eps with x_t = eps_t + sum_i ar_i x_{t-i} +
+    sum_i ma_i eps_{t-i}, started at rest (x and eps zero before t = 0).
+
+    Blocks of _ARMA_BLOCK samples (or the longer order) are filtered a chunk
+    at a time: one batched product gives every block's zero-state response,
+    and only the carried state steps from block to block.
+    """
+    p, total = eps.shape
+    na, nm = len(ar), len(ma)
+    block = max(_ARMA_BLOCK, na, nm)
+    zero_state, carried = _arma_block_operators(ar, ma, block)
+    tail = carried[:, block - na:]  # the carry's effect on the block's last na values
+    carry = np.zeros((p, nm + na))
+    step = block * max(1, _ARMA_CHUNK // block)
+    for start in range(0, total, step):
+        width = min(step, total - start)
+        blocks = -(-width // block)
+        chunk = eps[:, start:start + width]
+        if width < blocks * block:  # the last chunk, padded to whole blocks
+            chunk = np.hstack([chunk, np.zeros((p, blocks * block - width))])
+        chunk = chunk.reshape(p, blocks, block)
+        x = chunk @ zero_state
+        carries = np.empty((p, blocks + 1, nm + na))
+        carries[:, 0] = carry
+        carries[:, 1:, :nm] = chunk[:, :, block - nm:]
+        for b in range(blocks):
+            carries[:, b + 1, nm:] = x[:, b, block - na:] + carries[:, b] @ tail
+        x += (carries[:, :-1].reshape(p * blocks, nm + na) @ carried).reshape(x.shape)
+        eps[:, start:start + width] = x.reshape(p, -1)[:, :width]
+        carry = carries[:, -1]
+
+
 def synthesize_noise(spec: NoiseSpec, p: int, n: int, seed) -> MultivariateSeries:
     """Draw p independent noise rows of length n."""
     if p < 1 or n < 1:
@@ -258,19 +320,8 @@ def synthesize_noise(spec: NoiseSpec, p: int, n: int, seed) -> MultivariateSerie
     if spec.kind == "iid_gaussian":
         return MultivariateSeries(sd * rng.standard_normal((p, n)))
     burn = _arma_burn_in(spec)
-    total = n + burn
-    eps = sd * rng.standard_normal((p, total))
-    x = np.zeros((p, total))
-    na, nm = len(spec.ar), len(spec.ma)
-    for t in range(total):
-        acc = eps[:, t].copy()
-        for i, a in enumerate(spec.ar, start=1):
-            if t - i >= 0:
-                acc += a * x[:, t - i]
-        for i, b in enumerate(spec.ma, start=1):
-            if t - i >= 0:
-                acc += b * eps[:, t - i]
-        x[:, t] = acc
+    x = sd * rng.standard_normal((p, n + burn))
+    _arma_filter(x, spec.ar, spec.ma)
     return MultivariateSeries(x[:, burn:])
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import MultivariateSeries
 
@@ -191,13 +192,8 @@ def _analysis_step(a: np.ndarray, low: np.ndarray, high: np.ndarray):
     count = (a.shape[1] - length) // 2 + 1
     if count <= 0:
         return None
-    approx = np.zeros((a.shape[0], count))
-    detail = np.zeros((a.shape[0], count))
-    for i in range(length):
-        window = a[:, i : i + 2 * count - 1 : 2]
-        approx += low[i] * window
-        detail += high[i] * window
-    return approx, detail
+    windows = sliding_window_view(a, length, axis=1)[:, : 2 * count - 1 : 2]
+    return windows @ low, windows @ high
 
 
 def pyramid_transform(series: MultivariateSeries, filter_pair: FilterPair,
@@ -215,7 +211,9 @@ def pyramid_transform(series: MultivariateSeries, filter_pair: FilterPair,
     check_series_length(series.n, filter_pair.length)
     octaves: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
-    approx = series.values
+    # One memory layout, so a series read from CSV (column-major) and the
+    # same series read from binary give the same bits.
+    approx = np.ascontiguousarray(series.values)
     truncated = False
     for j in range(1, j_max + 1):
         step = _analysis_step(approx, filter_pair.low_pass, filter_pair.high_pass)

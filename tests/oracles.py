@@ -99,3 +99,37 @@ def kappa_sweep_reference(diagnostic_samples, kappa_grid, true_r=None):
         exact = None if true_r is None else mean == float(true_r)
         rows.append((float(kappa), mean, q05, q95, exact))
     return rows
+
+
+def arma_noise_reference(eps, ar, ma):
+    """The ARMA recursion x_t = eps_t + sum_i ar_i x_{t-i} + sum_i ma_i eps_{t-i}
+    along each row of eps, started at rest, one interpreted step per time
+    point, as synthesize_noise ran it before the block filter."""
+    p, total = eps.shape
+    x = np.zeros((p, total))
+    for t in range(total):
+        acc = eps[:, t].copy()
+        for i, a in enumerate(ar, start=1):
+            if t - i >= 0:
+                acc += a * x[:, t - i]
+        for i, b in enumerate(ma, start=1):
+            if t - i >= 0:
+                acc += b * eps[:, t - i]
+        x[:, t] = acc
+    return x
+
+
+def analysis_step_reference(a, low, high):
+    """One valid-only pyramid step as one strided pass per filter tap, as
+    the pyramid ran it before the sliding-window product."""
+    length = low.size
+    count = (a.shape[1] - length) // 2 + 1
+    if count <= 0:
+        return None
+    approx = np.zeros((a.shape[0], count))
+    detail = np.zeros((a.shape[0], count))
+    for i in range(length):
+        window = a[:, i : i + 2 * count - 1 : 2]
+        approx += low[i] * window
+        detail += high[i] * window
+    return approx, detail

@@ -480,6 +480,30 @@ class TestEstimateData:
             outs.append((out / "estimate.json").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("analysis", [{"family": "haar"}, {"n_vanishing": 2},
+                                          {"n_vanishing": 6}])
+    def test_csv_and_binary_give_the_same_bytes(self, tmp_path, capsys, analysis):
+        # read_series_csv yields a column-major array, read_series_binary a
+        # row-major one: the estimate must not depend on the layout.
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["model"].update({"r": 2, "hurst": [0.3, 0.8], "p": 6,
+                             "mixing": {"kind": "random_unit_columns"},
+                             "noise": {"kind": "arma", "ar": [0.6], "ma": [0.3]}})
+        doc["analysis"].update(analysis)
+        cfg = write_config(tmp_path, doc)
+        sim = tmp_path / "sim"
+        code, _, err = run(["simulate", "--config", cfg, "--out", str(sim)], capsys)
+        assert code == 0, err
+        assert not read_series_csv(sim / "series_y.csv").values.flags.c_contiguous
+        outs = []
+        for suffix in ("csv", "bin"):
+            out = tmp_path / suffix
+            code, _, err = run(["estimate", "--config", cfg, "--data",
+                                str(sim / f"series_y.{suffix}"), "--out", str(out)], capsys)
+            assert code == 0, err
+            outs.append([(out / name).read_bytes() for name in ("estimate.json", "estimate.csv")])
+        assert outs[0] == outs[1]
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),

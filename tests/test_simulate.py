@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from oracles import synthesize_ofbm_reference
+from oracles import arma_noise_reference, synthesize_ofbm_reference
 
 from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
-                                SynthesisDiagnostics, _embedding_root,
+                                SynthesisDiagnostics, _arma_block_operators,
+                                _arma_burn_in, _arma_filter, _embedding_root,
                                 assemble_observations, cumulative_path,
                                 fgn_cross_covariance, make_mixing_matrix,
                                 synthesize_noise, synthesize_ofbm_increments)
@@ -252,6 +253,96 @@ class TestNoise:
             NoiseSpec("arma", ar=(1.01,))
         with pytest.raises(ValueError, match="nonstationary"):
             NoiseSpec("arma", ar=(0.5, 0.5))  # root on the unit circle
+
+
+ARMA_ORDERS = {
+    "none": ((), ()),
+    "ar1": ((0.6,), ()),
+    "ar2-complex-roots": ((1.2, -0.5), ()),
+    "ma1": ((), (0.4,)),
+    "ma3": ((), (0.5, -0.3, 0.2)),
+    "arma11": ((0.6,), (0.3,)),
+    "arma23": ((0.5, -0.3), (0.2, 0.1, -0.4)),
+    "ar-0.95": ((0.95,), ()),
+    "ar-0.998": ((0.998,), ()),  # burn-in of 5010 samples, longer than a chunk
+    # orders above the block length make the blocks that long
+    "long-orders": ((0.02,) * 35, (0.05,) * 40),
+}
+
+
+def assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestArmaFilter:
+    @pytest.mark.parametrize("name", ARMA_ORDERS)
+    @pytest.mark.parametrize("p, n, variance", [(1, 1000, 1.0), (3, 257, 2.5)])
+    def test_noise_equals_the_loop(self, name, p, n, variance):
+        ar, ma = ARMA_ORDERS[name]
+        spec = NoiseSpec("arma", variance=variance, ar=ar, ma=ma)
+        burn = _arma_burn_in(spec)
+        eps = np.sqrt(variance) * np.random.default_rng(5).standard_normal((p, n + burn))
+        got = synthesize_noise(spec, p, n, np.random.default_rng(5)).values
+        assert_close(got, arma_noise_reference(eps, ar, ma)[:, burn:])
+
+    @pytest.mark.parametrize("name", ["arma11", "arma23", "long-orders"])
+    @pytest.mark.parametrize("total", [1, 31, 32, 33, 2047, 2048, 2049, 4100])
+    def test_filter_equals_the_loop_across_block_and_chunk_ends(self, name, total):
+        ar, ma = ARMA_ORDERS[name]
+        eps = np.random.default_rng(total).standard_normal((2, total))
+        ref = arma_noise_reference(eps, ar, ma)
+        _arma_filter(eps, ar, ma)
+        assert_close(eps, ref)
+
+    @pytest.mark.parametrize("ar, ma, psi", [
+        ((0.95,), (), lambda k: 0.95 ** k),
+        ((0.6,), (0.3,), lambda k: np.where(k == 0, 1.0, 0.9 * 0.6 ** (k - 1.0))),
+        # roots rho e^{+-i w} of z^2 - 1.2 z + 0.5
+        ((1.2, -0.5), (),
+         lambda k: (np.sqrt(0.5) ** k * np.sin((k + 1) * np.arccos(0.6 * np.sqrt(2.0)))
+                    / np.sin(np.arccos(0.6 * np.sqrt(2.0))))),
+        ((), (0.5, -0.3, 0.2), lambda k: np.array([1.0, 0.5, -0.3, 0.2, 0.0])[np.minimum(k, 4)]),
+    ])
+    @pytest.mark.parametrize("at", [0, 31, 32, 2047, 2050])
+    def test_impulse_gives_the_closed_form_weights(self, ar, ma, psi, at):
+        eps = np.zeros((1, 4200))
+        eps[0, at] = 1.0
+        _arma_filter(eps, ar, ma)
+        np.testing.assert_array_equal(eps[0, :at], 0.0)
+        np.testing.assert_allclose(eps[0, at:], psi(np.arange(4200 - at)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["ar1", "ar2-complex-roots", "ma3", "arma23"])
+    @pytest.mark.parametrize("block", [5, 32])
+    def test_carried_impulse_gives_the_homogeneous_recursion(self, name, block):
+        # A unit value in the carried state, with every eps of the block at
+        # zero: a carried x starts the homogeneous AR recursion, and a carried
+        # eps adds the MA weights that still reach into the block.
+        ar, ma = ARMA_ORDERS[name]
+        na, nm = len(ar), len(ma)
+        zero_state, carried = _arma_block_operators(ar, ma, block)
+        assert carried.shape == (nm + na, block)
+        for row in range(nm + na):
+            eps_hist = np.zeros(nm)
+            x_hist = np.zeros(na)
+            if row < nm:
+                eps_hist[row] = 1.0
+            else:
+                x_hist[row - nm] = 1.0
+            e = np.concatenate([eps_hist, np.zeros(block)])
+            x = np.concatenate([x_hist, np.zeros(block)])
+            for k in range(block):
+                x[na + k] = (sum(a * x[na + k - i] for i, a in enumerate(ar, start=1))
+                             + sum(b * e[nm + k - i] for i, b in enumerate(ma, start=1)))
+            np.testing.assert_allclose(carried[row], x[na:], rtol=0, atol=1e-13)
+        # the zero-state operator is the lower-triangular Toeplitz matrix of
+        # the impulse response, transposed for right multiplication
+        impulse = np.zeros((1, block))
+        impulse[0, 0] = 1.0
+        psi = arma_noise_reference(impulse, ar, ma)[0]
+        lag = np.arange(block)[None, :] - np.arange(block)[:, None]
+        np.testing.assert_allclose(zero_state, np.where(lag >= 0, psi[np.abs(lag)], 0.0),
+                                   rtol=0, atol=1e-13)
 
 
 class TestAssemble:

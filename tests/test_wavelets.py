@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import analysis_step_reference
 
 from eigenwave.estimators import OctaveRangeError, check_octave_range
 from eigenwave.series import MultivariateSeries
-from eigenwave.wavelets import (FilterPair, make_filter_bank,
+from eigenwave.wavelets import (FilterPair, _analysis_step, make_filter_bank,
                                 pyramid_transform, valid_count)
 
 SQRT2 = np.sqrt(2.0)
@@ -95,6 +96,49 @@ class TestValidCount:
             assert err.value.last_feasible == deepest
         else:
             check_octave_range(n, 1, j, fp.length)
+
+
+FILTERS = [("haar", 1)] + [("daubechies", nv) for nv in range(1, 11)]
+
+
+class TestAnalysisStep:
+    @pytest.mark.parametrize("family, nv", FILTERS)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_the_loop(self, family, nv, order):
+        fp = make_filter_bank(family, nv)
+        rng = np.random.default_rng(nv)
+        for n in (fp.length - 1, fp.length, fp.length + 1, fp.length + 2, 301, 1024):
+            a = np.asarray(np.cumsum(rng.standard_normal((5, n)), axis=1), order=order)
+            ref = analysis_step_reference(a, fp.low_pass, fp.high_pass)
+            got = _analysis_step(a, fp.low_pass, fp.high_pass)
+            if ref is None:  # no full window: the row is shorter than the filter
+                assert got is None
+                continue
+            scale = np.abs(ref).max()
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape == (5, (n - fp.length) // 2 + 1)
+                assert np.abs(g - r).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("family, nv", FILTERS)
+    def test_pyramid_equals_the_loop_down_to_one_coefficient(self, family, nv):
+        fp = make_filter_bank(family, nv)
+        # n_{j+1} = (n_j - L) // 2 + 1 takes 7L - 6 samples to 3L - 2, L and 1
+        y = np.random.default_rng(nv).standard_normal((3, 7 * fp.length - 6))
+        pyr = pyramid_transform(MultivariateSeries(y), fp, 4)
+        assert pyr.truncated and pyr.counts == {1: 3 * fp.length - 2, 2: fp.length, 3: 1}
+        approx = y
+        for j in pyr.octaves:
+            approx, detail = analysis_step_reference(approx, fp.low_pass, fp.high_pass)
+            assert np.abs(pyr.detail(j) - detail).max() <= 1e-12 * np.abs(detail).max()
+
+    @pytest.mark.parametrize("family, nv", FILTERS)
+    def test_layout_does_not_change_a_bit(self, family, nv):
+        fp = make_filter_bank(family, nv)
+        y = np.cumsum(np.random.default_rng(nv).standard_normal((6, 777)), axis=1)
+        c = pyramid_transform(MultivariateSeries(np.ascontiguousarray(y)), fp, 4)
+        f = pyramid_transform(MultivariateSeries(np.asfortranarray(y)), fp, 4)
+        for j in c.octaves:
+            np.testing.assert_array_equal(c.detail(j), f.detail(j))
 
 
 class TestPyramid:
