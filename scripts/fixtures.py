@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The fifteen runs take about 8 s on two cores. This is a tool for refactors that
+The sixteen runs take about 8 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -50,6 +50,9 @@ CLIPPED = {
     "io": {"components": True},
 }
 
+# A slope needs two octaves: j1 == j2 is rejected (exit 2 at analysis.j1).
+ONE_OCTAVE = {**FLOORED, "analysis": {"j1": 5, "j2": 5}}
+
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
     "mc-arma-wide": ["mc", "--config", str(ROOT / "perfbench/workloads/arma-wide.json"),
@@ -60,6 +63,7 @@ FIXTURES = {
     "estimate-fig4": ["estimate", "--preset", "fig4"],
     "estimate-fig4-kappa": ["estimate", "--preset", "fig4", "--kappa", "0.9", "--seed", "5"],
     "estimate-floored": ["estimate", "--config", "floored.json"],
+    "estimate-one-octave": ["estimate", "--config", "one-octave.json"],
     "simulate-floored": ["simulate", "--config", "floored.json"],
     # read back what simulate-floored wrote, in both formats
     "estimate-floored-bin": ["estimate", "--config", "floored.json",
@@ -90,6 +94,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "floored.json").write_text(json.dumps(FLOORED))
     (args.out / "clipped.json").write_text(json.dumps(CLIPPED))
+    (args.out / "one-octave.json").write_text(json.dumps(ONE_OCTAVE))
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     lines = []
     for name, command in FIXTURES.items():

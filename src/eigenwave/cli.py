@@ -59,7 +59,10 @@ def _load_config(args) -> dict:
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["io"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"io.out_dir: {exc}", path="io.out_dir")
     return out
 
 

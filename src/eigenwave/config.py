@@ -166,9 +166,10 @@ def resolve_config(doc: dict) -> dict:
                     effective[name].setdefault(key, copy.deepcopy(rule["default"]))
     _typed("analysis.n_vanishing", make_filter_bank, analysis["family"],
            analysis["n_vanishing"])
-    if analysis["j1"] > analysis["j2"]:
+    if analysis["j1"] >= analysis["j2"]:
         raise ConfigError(
-            f"analysis.j1: octave range ({analysis['j1']}, {analysis['j2']}) is inverted",
+            f"analysis.j1: octave range ({analysis['j1']}, {analysis['j2']}) needs two "
+            f"octaves, j1 < j2",
             path="analysis.j1",
         )
     return effective

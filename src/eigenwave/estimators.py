@@ -1,12 +1,13 @@
 """Multiscale log-eigenvalue regression and effective-dimension estimation.
 
 Per eigenvalue index i, a weighted linear regression of log2 eigenvalues
-on the octave j produces the exponent estimate ell_hat_i; the top r of
-these estimate the Hurst exponents of the latent process. A companion
-per-index diagnostic delta_i (a log-eigenvalue slope normalized by the
-octave) separates scaling directions, where it approaches 2h+1, from
-noise directions, where it stays near zero; counting diagnostics above a
-threshold kappa estimates the latent dimension.
+on the octave j gives one slope S_i. The exponent estimate is
+ell_hat_i = (S_i - 1)/2; the top r of these estimate the Hurst exponents
+of the latent process. The diagnostic is the slope itself,
+delta_i = S_i = 2 ell_hat_i + 1: it approaches 2h+1 along scaling
+directions and stays near zero along noise directions, so counting
+diagnostics above a threshold kappa estimates the latent dimension. A
+slope needs two octaves, so every range has j1 < j2.
 """
 from __future__ import annotations
 
@@ -51,71 +52,58 @@ def check_octave_range(n: int, j1: int, j2: int, filter_length: int) -> None:
 
 @dataclass(frozen=True)
 class RegressionWeights:
-    """Regression weights w and diagnostic weights v over octaves j1..j2.
-
-    w sums to zero and has unit first moment over j; v sums to one.
-    """
+    """Slope weights w over octaves j1..j2: w sums to zero and has unit
+    first moment over j."""
 
     j1: int
     j2: int
     w: np.ndarray
-    v: np.ndarray
     scheme: str
 
 
 def regression_weights(j1: int, j2: int, counts=None,
                        scheme: str = COUNT_WEIGHTED) -> RegressionWeights:
-    """Least-squares slope weights over the octave range j1..j2.
+    """Weighted least-squares slope weights over the octave range j1..j2.
 
-    The "uniform" scheme treats every octave equally; the "count" scheme
-    weighs octave j by its coefficient count n_j, favoring the better
-    populated fine scales. The diagnostic weights are v_j = j * w_j, except
-    in the degenerate single-octave case where both reduce to 1.
+    Octave j gets weight b_j: the "uniform" scheme sets b_j = 1; the
+    "count" scheme uses its coefficient count n_j, favoring the better
+    populated fine scales. A slope needs two octaves, so j1 < j2.
     """
-    if j1 > j2:
-        raise ValueError(f"need j1 <= j2, got ({j1}, {j2})")
-    if scheme not in (UNIFORM, COUNT_WEIGHTED):
-        raise ValueError(f"unknown weight scheme {scheme!r}")
+    if j1 >= j2:
+        raise ValueError(f"need j1 < j2 (a slope needs two octaves), got ({j1}, {j2})")
     js = np.arange(j1, j2 + 1, dtype=np.float64)
-    if j1 == j2:
-        return RegressionWeights(j1, j2, np.array([1.0]), np.array([1.0]), scheme)
     if scheme == UNIFORM:
-        centered = js - js.mean()
-        w = centered / (centered ** 2).sum()
-    else:
-        if counts is None:
-            raise ValueError("count-weighted scheme requires per-octave counts")
-        b = np.asarray(counts, dtype=np.float64)
-        if b.shape != js.shape:
-            raise ValueError(f"need {js.size} counts for octaves {j1}..{j2}, got {b.shape}")
-        if np.any(b <= 0):
-            raise ValueError(f"counts must be positive, got {b}")
-        s0, s1, s2 = b.sum(), (b * js).sum(), (b * js * js).sum()
-        w = b * (s0 * js - s1) / (s0 * s2 - s1 * s1)
-    return RegressionWeights(j1, j2, w, js * w, scheme)
+        counts = np.ones_like(js)
+    elif scheme != COUNT_WEIGHTED:
+        raise ValueError(f"unknown weight scheme {scheme!r}")
+    elif counts is None:
+        raise ValueError("count-weighted scheme requires per-octave counts")
+    b = np.asarray(counts, dtype=np.float64)
+    if b.shape != js.shape:
+        raise ValueError(f"need {js.size} counts for octaves {j1}..{j2}, got {b.shape}")
+    if np.any(b <= 0):
+        raise ValueError(f"counts must be positive, got {b}")
+    s0, s1, s2 = b.sum(), (b * js).sum(), (b * js * js).sum()
+    return RegressionWeights(j1, j2, b * (s0 * js - s1) / (s0 * s2 - s1 * s1), scheme)
 
 
-def _defined_log2(spectrum: LogEigenSpectrum, weights: RegressionWeights):
-    """The mask of indices unflagged at every octave, and the log2 eigenvalues
-    with flagged entries zeroed; spectrum and weights must share octaves."""
+def _slopes(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
+    """Per-index weighted slope of log2 eigenvalues over the octaves, NaN
+    where the index is flagged at any octave (rank-deficient or mixed-rank
+    directions) rather than a number built from floored values."""
     if (spectrum.j1, spectrum.j2) != (weights.j1, weights.j2):
         raise ValueError(
             f"spectrum covers octaves {spectrum.j1}..{spectrum.j2}, "
             f"weights cover {weights.j1}..{weights.j2}"
         )
-    return (~spectrum.zero_flags.any(axis=0),
-            np.where(spectrum.zero_flags, 0.0, spectrum.log2_eigenvalues))
+    flags = spectrum.zero_flags
+    slope = (weights.w[:, None] * np.where(flags, 0.0, spectrum.log2_eigenvalues)).sum(axis=0)
+    return np.where(flags.any(axis=0), np.nan, slope)
 
 
 def scaling_exponents(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
-    """Per-index exponent estimates ell_hat from the weighted regression.
-
-    Indices flagged as zero at any octave (rank-deficient or mixed-rank
-    directions) get NaN rather than a number built from floored values.
-    """
-    defined, log2lam = _defined_log2(spectrum, weights)
-    ell = 0.5 * ((weights.w[:, None] * log2lam).sum(axis=0) - 1.0)
-    return np.where(defined, ell, np.nan)
+    """Per-index exponent estimates ell_hat = (S - 1)/2, NaN where flagged."""
+    return 0.5 * (_slopes(spectrum, weights) - 1.0)
 
 
 def hurst_exponents(ell: np.ndarray, r: int) -> np.ndarray:
@@ -135,16 +123,14 @@ def hurst_exponents(ell: np.ndarray, r: int) -> np.ndarray:
 
 
 def scaling_diagnostic(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
-    """Per-index diagnostic delta: octave-normalized log-eigenvalue slope.
+    """Per-index diagnostic delta = S = 2 ell_hat + 1, the log-eigenvalue slope.
 
     Approaches 2h+1 along scaling directions and 0 along noise directions.
     Flagged indices map to -inf so they can never exceed a positive
     threshold.
     """
-    defined, log2lam = _defined_log2(spectrum, weights)
-    js = np.arange(weights.j1, weights.j2 + 1, dtype=np.float64)
-    diag = (weights.v[:, None] * log2lam / js[:, None]).sum(axis=0)
-    return np.where(defined, diag, -np.inf)
+    slope = _slopes(spectrum, weights)
+    return np.where(np.isnan(slope), -np.inf, slope)
 
 
 def effective_dimension(diagnostic: np.ndarray, kappa: float) -> int:
@@ -237,7 +223,6 @@ def result_to_json(result: EstimationResult) -> dict:
         "weights": {
             "scheme": result.weights.scheme,
             "w": [float(x) for x in result.weights.w],
-            "v": [float(x) for x in result.weights.v],
         },
         "r_hat": result.r_hat,
         "kappa": result.kappa,

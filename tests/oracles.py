@@ -133,3 +133,24 @@ def analysis_step_reference(a, low, high):
         approx += low[i] * window
         detail += high[i] * window
     return approx, detail
+
+
+def scaling_diagnostic_reference(spectrum, scheme):
+    """The diagnostic delta as computed before it was the exponent slope:
+    the old slope weights w (the centered formula for "uniform", the count
+    formula for "count"), the diagnostic weights v_j = j * w_j, then
+    sum_j v_j log2 lambda_j / j, with -inf at flagged indices."""
+    j1, j2 = spectrum.j1, spectrum.j2
+    js = np.arange(j1, j2 + 1, dtype=np.float64)
+    if scheme == "uniform":
+        centered = js - js.mean()
+        w = centered / (centered ** 2).sum()
+    else:
+        b = np.asarray(spectrum.counts, dtype=np.float64)
+        s0, s1, s2 = b.sum(), (b * js).sum(), (b * js * js).sum()
+        w = b * (s0 * js - s1) / (s0 * s2 - s1 * s1)
+    v = js * w
+    defined = ~spectrum.zero_flags.any(axis=0)
+    log2lam = np.where(spectrum.zero_flags, 0.0, spectrum.log2_eigenvalues)
+    diag = (v[:, None] * log2lam / js[:, None]).sum(axis=0)
+    return np.where(defined, diag, -np.inf)

@@ -45,8 +45,7 @@ def test_criterion_01_weight_identities():
                                            scheme=COUNT_WEIGHTED)):
                 worst = max(worst,
                             abs(wts.w.sum()),
-                            abs((js * wts.w).sum() - 1.0),
-                            abs(wts.v.sum() - 1.0))
+                            abs((js * wts.w).sum() - 1.0))
     report(1, "weight identities", worst < 1e-12,
            f"max identity error {worst:.3e} over all ranges and both schemes (tol 1e-12)")
 

@@ -410,6 +410,23 @@ def test_bad_override_is_config_error(tmp_path, capsys, monkeypatch, command, fl
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_onto_a_file_is_config_error(capsys, command, out):
+    error = assert_rejected([command, "--preset", "fig4", "--out", out], {"afile": b"x"}, capsys)
+    assert (error["code"], error["path"]) == (2, "io.out_dir")
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@pytest.mark.parametrize("j1, j2", [(4, 4), (5, 4)])
+def test_octave_range_needs_two_octaves(capsys, command, j1, j2):
+    config = json.dumps({**MINIMAL, "analysis": {"j1": j1, "j2": j2}}).encode()
+    error = assert_rejected([command, "--config", "c.json", "--out", "out"],
+                            {"c.json": config}, capsys)
+    assert (error["code"], error["path"]) == (2, "analysis.j1")
+    assert "two octaves" in error["error"]
+
+
 @pytest.mark.parametrize("doc, path", [([1], "<root>"), ({**MINIMAL, "mc": 3}, "mc")])
 def test_override_on_non_object_is_config_error(tmp_path, capsys, doc, path):
     code, _, err = run(["mc", "--config", write_config(tmp_path, doc), "--seed", "3",
@@ -652,7 +669,7 @@ class TestResolveConfig:
 def assert_rejected(argv, files, capsys):
     """main, run in an empty directory holding only `files`, rejects argv
     with exit 2 or 3 and a single JSON line on stderr, and writes nothing;
-    an exception escaping main fails the test."""
+    an exception escaping main fails the test. Returns the error line."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, data in files.items():
             Path(name).write_bytes(data)
@@ -662,6 +679,7 @@ def assert_rejected(argv, files, capsys):
     assert err.count("\n") == 1, err
     assert json.loads(err)["code"] == code
     assert left == sorted(files)
+    return json.loads(err)
 
 
 def _paths(doc, prefix=()):

@@ -13,7 +13,7 @@ from eigenwave.simulate import (OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
 from eigenwave.spectrum import LogEigenSpectrum
 from eigenwave.wavelets import make_filter_bank
-from oracles import kappa_sweep_reference
+from oracles import kappa_sweep_reference, scaling_diagnostic_reference
 
 
 def spectrum_from_lambdas(lambdas, j1=1, floor=1e-10, counts=None):
@@ -30,17 +30,30 @@ def spectrum_from_lambdas(lambdas, j1=1, floor=1e-10, counts=None):
                             zero_flags=flags)
 
 
+def random_spectrum(seed, j1, octaves, p=12):
+    """A spectrum with log2 eigenvalues in [-30, 40], about 5% of them zero
+    (flagged), and random positive per-octave counts."""
+    rng = np.random.default_rng(seed)
+    lam = 2.0 ** rng.uniform(-30.0, 40.0, size=(octaves, p))
+    lam[rng.random(lam.shape) < 0.05] = 0.0
+    return spectrum_from_lambdas(lam, j1=j1, counts=rng.integers(1, 100_000, size=octaves))
+
+
+SPECTRA = dict(j1=st.integers(1, 8), octaves=st.integers(2, 12), seed=st.integers(0, 2 ** 31))
+
+
 class TestRegressionWeights:
     def test_uniform_three_octaves(self):
         # solving the 2x2 normal equations by hand for j = 1, 2, 3
         wts = regression_weights(1, 3, scheme=UNIFORM)
         np.testing.assert_allclose(wts.w, [-0.5, 0.0, 0.5], atol=1e-15)
-        np.testing.assert_allclose(wts.v, [-0.5, 0.0, 1.5], atol=1e-15)
 
     def test_single_octave(self):
-        wts = regression_weights(5, 5, scheme=UNIFORM)
-        np.testing.assert_array_equal(wts.w, [1.0])
-        np.testing.assert_array_equal(wts.v, [1.0])
+        # a slope needs two octaves
+        for j1, j2 in [(5, 5), (6, 5)]:
+            for scheme, kw in ((UNIFORM, {}), (COUNT_WEIGHTED, {"counts": [64]})):
+                with pytest.raises(ValueError, match="two octaves"):
+                    regression_weights(j1, j2, scheme=scheme, **kw)
 
     def test_count_weighted_equals_uniform_for_equal_counts(self):
         for j1, j2 in [(1, 4), (3, 9), (2, 3)]:
@@ -48,7 +61,6 @@ class TestRegressionWeights:
             cnt = regression_weights(j1, j2, counts=[100] * (j2 - j1 + 1),
                                      scheme=COUNT_WEIGHTED)
             np.testing.assert_allclose(cnt.w, uni.w, atol=1e-12)
-            np.testing.assert_allclose(cnt.v, uni.v, atol=1e-12)
 
     @given(j1=st.integers(1, 11), width=st.integers(1, 11),
            seed=st.integers(0, 2 ** 31))
@@ -63,7 +75,6 @@ class TestRegressionWeights:
                     regression_weights(j1, j2, counts=counts, scheme=COUNT_WEIGHTED)):
             assert abs(wts.w.sum()) < 1e-12
             assert abs((js * wts.w).sum() - 1.0) < 1e-12
-            assert abs(wts.v.sum() - 1.0) < 1e-12
 
     def test_count_scheme_requires_counts(self):
         with pytest.raises(ValueError, match="counts"):
@@ -83,12 +94,6 @@ class TestScalingExponents:
             wts = regression_weights(2, 6, scheme=scheme, **kw)
             ell = scaling_exponents(spectrum_from_lambdas(lam, j1=2, counts=counts), wts)
             assert abs(ell[0] - h) < 1e-12
-
-    def test_single_octave_value(self):
-        spec = spectrum_from_lambdas([[16.0]], j1=4)
-        wts = regression_weights(4, 4)
-        ell = scaling_exponents(spec, wts)
-        assert ell[0] == pytest.approx(1.5, abs=1e-14)  # (log2 16 - 1)/2
 
     def test_flagged_index_undefined(self):
         spec = spectrum_from_lambdas([[1e-14, 4.0], [1e-14, 8.0]], j1=1)
@@ -150,8 +155,8 @@ class TestScalingDiagnostic:
         d = scaling_diagnostic(spec, wts)
         assert abs(d[0] - (2 * h + 1)) < 1e-12
 
-    def test_power_law_with_offset_still_exact_under_vjw(self):
-        # v = j w makes the constant prefactor cancel exactly
+    def test_power_law_with_offset_still_exact(self):
+        # sum w = 0 makes the constant prefactor cancel exactly
         h, c = 0.25, 5.5
         js = np.arange(2, 6)
         lam = np.array([[c * 2.0 ** (j * (2 * h + 1))] for j in js])
@@ -170,6 +175,36 @@ class TestScalingDiagnostic:
         wts = regression_weights(1, 2, scheme=UNIFORM)
         d = scaling_diagnostic(spec, wts)
         assert d[0] == -np.inf and np.isfinite(d[1])
+
+    @given(**SPECTRA)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_v_weighted_path(self, j1, octaves, seed):
+        # delta was once sum_j v_j log2 lambda_j / j with v = j w: the same
+        # slope up to rounding. Rounding error grows with the terms summed,
+        # not with delta, which cancels to near zero along noise directions.
+        spec = random_spectrum(seed, j1, octaves)
+        for scheme in (UNIFORM, COUNT_WEIGHTED):
+            wts = regression_weights(spec.j1, spec.j2, counts=spec.counts, scheme=scheme)
+            got = scaling_diagnostic(spec, wts)
+            ref = scaling_diagnostic_reference(spec, scheme)
+            np.testing.assert_array_equal(got == -np.inf, ref == -np.inf)
+            defined = ref > -np.inf
+            # sum_j |w_j log2 lambda_j| bounds |delta|
+            terms = np.abs(wts.w[:, None] * np.nan_to_num(spec.log2_eigenvalues)).sum(axis=0)
+            scale = np.maximum(1.0, terms)[defined]
+            assert np.all(np.abs(got[defined] - ref[defined]) <= 4e-15 * scale)
+
+    @given(**SPECTRA)
+    @settings(max_examples=60, deadline=None)
+    def test_is_twice_the_exponent_plus_one(self, j1, octaves, seed):
+        spec = random_spectrum(seed, j1, octaves)
+        for scheme in (UNIFORM, COUNT_WEIGHTED):
+            wts = regression_weights(spec.j1, spec.j2, counts=spec.counts, scheme=scheme)
+            ell = scaling_exponents(spec, wts)
+            delta = scaling_diagnostic(spec, wts)
+            defined = ~np.isnan(ell)
+            np.testing.assert_array_equal(delta[~defined], -np.inf)
+            assert np.array_equal(ell[defined], 0.5 * (delta[defined] - 1.0))
 
 
 class TestEffectiveDimension:
@@ -248,7 +283,7 @@ class TestEstimateSeries:
         series = self._series(h=h, n=2 ** 16, seed=160)
         fp = make_filter_bank("daubechies", 2)
         result = estimate_series(series, fp, 6, 10, r=1)
-        slope = result.delta[0]  # with v = j w this is the weighted slope
+        slope = result.delta[0]  # the weighted slope, 2 ell_hat + 1
         assert abs(slope - (2 * h + 1)) < 0.2
 
     def test_univariate_recovery(self):
