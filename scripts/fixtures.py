@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The sixteen runs take about 8 s on two cores. This is a tool for refactors that
+The seventeen runs take about 8 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -53,8 +53,20 @@ CLIPPED = {
 # A slope needs two octaves: j1 == j2 is rejected (exit 2 at analysis.j1).
 ONE_OCTAVE = {**FLOORED, "analysis": {"j1": 5, "j2": 5}}
 
+# The fig4 preset with the subset-averaged KS test, the only run that
+# reaches ks_subset_average.
+KS_SUBSETS = {
+    "model": {"r": 3, "hurst": [0.25, 0.5, 0.75], "mixing": {"kind": "random_unit_columns"},
+              "noise": {"kind": "iid_gaussian", "variance": 1.0}, "n": 4096},
+    "analysis": {"j1": 4, "j2": 6},
+    "mc": {"replications": 5000, "master_seed": 41, "ratio": 0.5},
+    "io": {"ks_subsets": True},
+}
+
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
+    "mc-fig4-ks": ["mc", "--config", "ks-subsets.json", "--reps", "60", "--seed", "41",
+                   "--workers", "2"],
     "mc-arma-wide": ["mc", "--config", str(ROOT / "perfbench/workloads/arma-wide.json"),
                      "--reps", "4", "--seed", "3"],
     "mc-fig1": ["mc", "--preset", "fig1", "--reps", "2", "--seed", "106"],
@@ -95,6 +107,7 @@ def main(argv=None) -> int:
     (args.out / "floored.json").write_text(json.dumps(FLOORED))
     (args.out / "clipped.json").write_text(json.dumps(CLIPPED))
     (args.out / "one-octave.json").write_text(json.dumps(ONE_OCTAVE))
+    (args.out / "ks-subsets.json").write_text(json.dumps(KS_SUBSETS))
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     lines = []
     for name, command in FIXTURES.items():

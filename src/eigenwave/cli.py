@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,6 +58,18 @@ def _load_config(args) -> dict:
     return resolve_config(doc)
 
 
+def _check_out_dir(cfg: dict) -> None:
+    """Reject an io.out_dir that is a file or lies under one, creating
+    nothing, so the check can run before any series is drawn or read."""
+    out = Path(cfg["io"]["out_dir"])
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            if not os.path.isdir(path):
+                raise ConfigError(f"io.out_dir: {path} is not a directory",
+                                  path="io.out_dir")
+            return
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["io"]["out_dir"])
     try:
@@ -76,6 +89,7 @@ def _write_series(series: MultivariateSeries, stem: str, cfg: dict, out: Path) -
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    _check_out_dir(cfg)
     mc_config = build_mc_config(cfg)
     out = _out_dir(cfg)
     observed, latent, noise, mixing, diagnostics = draw_observation(mc_config, 0)
@@ -100,6 +114,7 @@ def _read_series(path: str) -> MultivariateSeries:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
+    _check_out_dir(cfg)
     if args.data:
         series = _read_series(args.data)
     else:
@@ -120,6 +135,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = _load_config(args)
+    _check_out_dir(cfg)
     if cfg["analysis"]["r"] is not None:
         raise ConfigError("analysis.r: mc reports the model's r exponents; "
                           "analysis.r applies to estimate only", path="analysis.r")

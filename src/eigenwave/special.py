@@ -1,63 +1,12 @@
-"""Chi-square distribution functions built on the regularized lower
-incomplete gamma function (power series for small argument, continued
-fraction otherwise)."""
+"""Chi-square distribution functions for integer degrees of freedom.
+
+For k degrees of freedom and y = x/2 the CDF is the finite sum
+P(k/2, y) = E - sum_{i < k//2} y^(i+s) e^-y / Gamma(i+s+1), with s = 0 and
+E = 1 for even k, s = 1/2 and E = erf(sqrt(y)) for odd k.
+"""
 from __future__ import annotations
 
 import math
-
-_MAX_ITER = 500
-_EPS = 1e-16
-
-
-def _gamma_p_series(s: float, x: float) -> float:
-    # P(s, x) = x^s e^-x / Gamma(s) * sum_k x^k / (s(s+1)...(s+k))
-    term = 1.0 / s
-    total = term
-    denom = s
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _gamma_q_contfrac(s: float, x: float) -> float:
-    # Q(s, x) via the Lentz evaluation of the standard continued fraction.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def gamma_p(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(s, x)."""
-    if s <= 0.0:
-        raise ValueError(f"shape must be positive, got {s}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return min(_gamma_p_series(s, x), 1.0)
-    return max(1.0 - _gamma_q_contfrac(s, x), 0.0)
 
 
 def chi2_cdf(dof: int, x: float) -> float:
@@ -66,7 +15,16 @@ def chi2_cdf(dof: int, x: float) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
     if x < 0.0:
         raise ValueError(f"chi-square argument must be nonnegative, got {x}")
-    return gamma_p(dof / 2.0, x / 2.0)
+    if x == 0.0:
+        return 0.0
+    y = x / 2.0
+    s = 0.5 * (dof % 2)
+    head = math.erf(math.sqrt(y)) if s else 1.0
+    # each term in log space, so e^-y alone never underflows at large dof
+    log_y = math.log(y)
+    tail = sum(math.exp((i + s) * log_y - y - math.lgamma(i + s + 1.0))
+               for i in range(dof // 2))
+    return min(max(head - tail, 0.0), 1.0)
 
 
 def chi2_quantile(dof: int, prob: float) -> float:

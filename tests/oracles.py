@@ -5,6 +5,9 @@ Not collected by pytest (no test_ prefix); test modules import it as
 """
 import numpy as np
 
+from eigenwave.montecarlo import ks_critical
+from eigenwave.special import chi2_cdf
+
 
 def jacobi_eigen(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     """Cyclic Jacobi eigendecomposition, the small-matrix cross-check for
@@ -154,3 +157,39 @@ def scaling_diagnostic_reference(spectrum, scheme):
     log2lam = np.where(spectrum.zero_flags, 0.0, spectrum.log2_eigenvalues)
     diag = (v[:, None] * log2lam / js[:, None]).sum(axis=0)
     return np.where(defined, diag, -np.inf)
+
+
+def ks_subset_average_reference(d2, dof: int, n_subsets: int = 100,
+                                subset_size: int = 1250, seed: int = 20220521) -> dict:
+    """The subset-averaged KS test as it ran before the CDF was shared by
+    the subsets: each subset draws its values, sorts them and takes their
+    CDF afresh."""
+    def ks_statistic(d2, dof):
+        d2 = np.sort(np.asarray(d2, dtype=np.float64))
+        m = d2.size
+        if m < 1:
+            raise ValueError("empty sample")
+        cdf = np.array([chi2_cdf(dof, float(x)) for x in d2])
+        i = np.arange(1, m + 1)
+        stat = float(np.max(np.maximum(i / m - cdf, cdf - (i - 1) / m)))
+        return stat, stat > ks_critical(m)
+
+    d2 = np.asarray(d2, dtype=np.float64)
+    if subset_size > d2.size:
+        raise ValueError(
+            f"subset size {subset_size} exceeds sample size {d2.size}"
+        )
+    rng = np.random.default_rng(seed)
+    stats, decisions = [], []
+    for _ in range(n_subsets):
+        sub = rng.choice(d2, size=subset_size, replace=False)
+        stat, reject = ks_statistic(sub, dof)
+        stats.append(stat)
+        decisions.append(reject)
+    return {
+        "n_subsets": n_subsets,
+        "subset_size": subset_size,
+        "seed": seed,
+        "mean_statistic": float(np.mean(stats)),
+        "rejection_rate": float(np.mean(decisions)),
+    }

@@ -412,7 +412,12 @@ def test_bad_override_is_config_error(tmp_path, capsys, monkeypatch, command, fl
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
-def test_out_onto_a_file_is_config_error(capsys, command, out):
+def test_out_onto_a_file_is_config_error(capsys, monkeypatch, command, out):
+    # rejected before any series is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a series before checking --out")
+    monkeypatch.setattr("eigenwave.cli.draw_observation", no_draw)
+    monkeypatch.setattr("eigenwave.cli.run_replications", no_draw)
     error = assert_rejected([command, "--preset", "fig4", "--out", out], {"afile": b"x"}, capsys)
     assert (error["code"], error["path"]) == (2, "io.out_dir")
 

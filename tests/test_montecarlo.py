@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import ks_subset_average_reference
 
 from eigenwave import montecarlo
 from eigenwave.estimators import OctaveRangeError, estimate_series
@@ -8,7 +9,7 @@ from eigenwave.montecarlo import (McConfig, gamma_plot, ks_critical,
                                   mahalanobis_sq, run_replications, summarize)
 from eigenwave.simulate import (NoiseSpec, OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
-from eigenwave.special import chi2_quantile
+from eigenwave.special import chi2_cdf, chi2_quantile
 from eigenwave.wavelets import make_filter_bank
 
 
@@ -132,6 +133,31 @@ class TestKs:
         b = ks_subset_average(sample, 6, n_subsets=10, subset_size=500)
         assert a == b
         assert 0.0 <= a["rejection_rate"] <= 1.0
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "tied"])
+    @pytest.mark.parametrize("subset_size", [37, 500])
+    def test_subset_average_matches_the_per_subset_loop(self, order, subset_size):
+        rng = np.random.default_rng(12)
+        sample = np.sort(rng.chisquare(3, size=800))
+        if order == "shuffled":
+            sample = rng.permutation(sample)
+        elif order == "tied":
+            sample = rng.permutation(np.repeat(sample[:200], 4))
+        got = ks_subset_average(sample, 3, n_subsets=20, subset_size=subset_size)
+        want = ks_subset_average_reference(sample, 3, n_subsets=20,
+                                           subset_size=subset_size)
+        assert got == want
+
+    def test_subset_average_takes_each_cdf_once(self, monkeypatch):
+        calls = []
+
+        def counting_cdf(dof, x):
+            calls.append(x)
+            return chi2_cdf(dof, x)
+        monkeypatch.setattr(montecarlo, "chi2_cdf", counting_cdf)
+        sample = np.random.default_rng(13).chisquare(2, size=300)
+        ks_subset_average(sample, 2, n_subsets=10, subset_size=100)
+        assert len(calls) == sample.size
 
     def test_subset_size_validated(self):
         with pytest.raises(ValueError, match="subset size"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from eigenwave.special import chi2_cdf, chi2_quantile, gamma_p
+from eigenwave.special import chi2_cdf, chi2_quantile
 
 
 class TestChi2Cdf:
@@ -19,7 +19,7 @@ class TestChi2Cdf:
         assert chi2_cdf(1, 1.0) == pytest.approx(math.erf(math.sqrt(0.5)), abs=1e-12)
         assert chi2_cdf(1, 1.0) == pytest.approx(0.6826894921370859, abs=1e-10)
 
-    @pytest.mark.parametrize("dof", [1, 2, 3, 6, 10, 50])
+    @pytest.mark.parametrize("dof", [1, 2, 3, 6, 10, 50, 200, 1001])
     def test_matches_scipy(self, dof):
         xs = np.linspace(0.01, 5 * dof, 200)
         ours = np.array([chi2_cdf(dof, float(x)) for x in xs])
@@ -50,29 +50,3 @@ class TestChi2Quantile:
             with pytest.raises(ValueError):
                 chi2_quantile(2, bad)
 
-
-class TestGammaP:
-    def test_small_and_large_argument_branches_agree(self):
-        # the series/continued-fraction switch at x = s + 1 must be seamless
-        for s in (0.5, 3.0, 12.5):
-            below = gamma_p(s, s + 1.0 - 1e-9)
-            above = gamma_p(s, s + 1.0 + 1e-9)
-            assert abs(below - above) < 1e-8
-
-    def test_monotone(self):
-        xs = np.linspace(0.0, 30.0, 500)
-        vals = [gamma_p(4.0, float(x)) for x in xs]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            s = float(rng.uniform(0.1, 60.0))
-            x = float(rng.uniform(0.0, 120.0))
-            assert abs(gamma_p(s, x) - scipy.special.gammainc(s, x)) < 1e-10
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            gamma_p(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_p(1.0, -1.0)
