@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The seventeen runs take about 8 s on two cores. This is a tool for refactors that
+The eighteen runs take about 8 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -63,6 +63,16 @@ KS_SUBSETS = {
     "io": {"ks_subsets": True},
 }
 
+# ARMA(1,1) noise written beside Y: series_z pins the noise scaled in place
+# before the ARMA filter, and that Y = P X + Z leaves Z as it was drawn.
+ARMA_COMPONENTS = {
+    "model": {"r": 2, "hurst": [0.4, 0.8], "mixing": {"kind": "random_unit_columns"},
+              "noise": {"kind": "arma", "variance": 2.5, "ar": [0.6], "ma": [0.3]},
+              "n": 1024, "p": 6},
+    "analysis": {"j1": 3, "j2": 6},
+    "io": {"formats": ["csv", "binary"], "components": True},
+}
+
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
     "mc-fig4-ks": ["mc", "--config", "ks-subsets.json", "--reps", "60", "--seed", "41",
@@ -85,6 +95,7 @@ FIXTURES = {
     "mc-floored": ["mc", "--config", "floored.json"],
     # three replications on four requested workers: the pool starts three
     "mc-floored-w4": ["mc", "--config", "floored.json", "--workers", "4"],
+    "simulate-arma-components": ["simulate", "--config", "arma-components.json"],
     "simulate-clipped": ["simulate", "--config", "clipped.json"],
     "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
 }
@@ -108,6 +119,7 @@ def main(argv=None) -> int:
     (args.out / "clipped.json").write_text(json.dumps(CLIPPED))
     (args.out / "one-octave.json").write_text(json.dumps(ONE_OCTAVE))
     (args.out / "ks-subsets.json").write_text(json.dumps(KS_SUBSETS))
+    (args.out / "arma-components.json").write_text(json.dumps(ARMA_COMPONENTS))
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     lines = []
     for name, command in FIXTURES.items():

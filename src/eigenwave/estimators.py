@@ -197,7 +197,7 @@ def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
     otherwise the estimated dimension is used.
     """
     check_octave_range(series.n, j1, j2, filter_pair.length)
-    pyramid = pyramid_transform(series, filter_pair, j2)
+    pyramid = pyramid_transform(series, filter_pair, j2, j_min=j1)
     covs = [wavelet_covariance(j, pyramid.detail(j)) for j in range(j1, j2 + 1)]
     spectrum = log_eigen_spectrum(covs, floor=floor)
     weights = regression_weights(j1, j2, counts=spectrum.counts, scheme=scheme)

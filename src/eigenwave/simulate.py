@@ -155,19 +155,24 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _circulant_spectrum(hurst: tuple, point_cov: np.ndarray, n: int):
-    """Spectral r x r matrices of the length-2n circulant embedding."""
-    r = len(hurst)
-    lags = np.arange(n + 1)
-    cov = np.empty((n + 1, r, r))
-    for a in range(r):
-        for b in range(a, r):
-            g = fgn_cross_covariance(hurst[a], hurst[b], point_cov[a, b], lags)
-            cov[:, a, b] = g
-            cov[:, b, a] = g
-    # Even periodic extension to length 2n; its DFT is real and symmetric
-    # in frequency, so only the first n+1 matrices are decomposed.
-    seq = np.concatenate([cov, cov[1:-1][::-1]], axis=0)
-    spectra = np.fft.rfft(seq, axis=0).real
+    """Spectral r x r matrices of the length-2n circulant embedding.
+
+    Each of the r(r+1)/2 coordinate pairs gets one row: its cross-covariance
+    at lags 0..n (fgn_cross_covariance's formula and operation order, with
+    the three powers read off one table of k^e), then the even periodic
+    extension to length 2n. Its DFT is real and symmetric in frequency, so
+    only the first n+1 matrices are decomposed.
+    """
+    rows, cols = np.triu_indices(len(hurst))
+    lags = np.arange(n + 2, dtype=np.float64)
+    below = np.abs(np.arange(-1, n))  # |k - 1| for k = 0..n
+    seq = np.empty((rows.size, 2 * n))
+    for out, a, b in zip(seq, rows, cols):
+        pw = lags ** (hurst[a] + hurst[b])
+        out[: n + 1] = 0.5 * point_cov[a, b] * (pw[below] - 2.0 * pw[:-1] + pw[1:])
+        out[n + 1:] = out[n - 1:0:-1]
+    spectra = np.empty((n + 1, len(hurst), len(hurst)))
+    spectra[:, rows, cols] = spectra[:, cols, rows] = np.fft.rfft(seq).real.T
     return spectra
 
 
@@ -213,8 +218,10 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
         return np.concatenate([np.matmul(half, noise[: n + 1, :, None])[..., 0],
                                np.matmul(mirrored, noise[n + 1:, :, None])[..., 0]])
 
-    noise_re = rng.standard_normal((m, r)) / np.sqrt(2.0)
-    noise_im = rng.standard_normal((m, r)) / np.sqrt(2.0)
+    noise_re = rng.standard_normal((m, r))
+    noise_re /= np.sqrt(2.0)
+    noise_im = rng.standard_normal((m, r))
+    noise_im /= np.sqrt(2.0)
     shaped = shape(noise_re) + 1j * shape(noise_im)
     increments = np.sqrt(2.0 * m) * np.fft.ifft(shaped, axis=0)[:n].real
     warning = None
@@ -317,11 +324,11 @@ def synthesize_noise(spec: NoiseSpec, p: int, n: int, seed) -> MultivariateSerie
         return MultivariateSeries(np.zeros((p, n)))
     rng = _rng(seed)
     sd = np.sqrt(spec.variance)
-    if spec.kind == "iid_gaussian":
-        return MultivariateSeries(sd * rng.standard_normal((p, n)))
-    burn = _arma_burn_in(spec)
-    x = sd * rng.standard_normal((p, n + burn))
-    _arma_filter(x, spec.ar, spec.ma)
+    burn = 0 if spec.kind == "iid_gaussian" else _arma_burn_in(spec)
+    x = rng.standard_normal((p, n + burn))
+    x *= sd  # in place: the same bits as sd * x, without a second array
+    if burn:
+        _arma_filter(x, spec.ar, spec.ma)
     return MultivariateSeries(x[:, burn:])
 
 
@@ -337,4 +344,8 @@ def assemble_observations(mixing: np.ndarray, latent: MultivariateSeries,
             f"noise shape {(noise.p, noise.n)} does not match "
             f"output shape {(p, latent.n)}"
         )
-    return MultivariateSeries(mixing @ latent.values + noise.values)
+    # The same bits as mixing @ X + Z; Z is left as it is, since callers
+    # return and write it beside Y.
+    y = mixing @ latent.values
+    y += noise.values
+    return MultivariateSeries(y)

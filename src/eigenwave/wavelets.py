@@ -169,8 +169,9 @@ class DetailPyramid:
     """Border-free detail coefficients per octave.
 
     octaves maps j to a p x n_j coefficient matrix for every feasible
-    octave up to the requested depth; truncated is set when the requested
-    depth was not reachable.
+    octave from j_min up to the requested depth; counts holds n_j for every
+    octave reached, kept or not; truncated is set when the requested depth
+    was not reachable.
     """
 
     octaves: dict[int, np.ndarray]
@@ -179,35 +180,39 @@ class DetailPyramid:
 
     @property
     def max_octave(self) -> int:
-        return max(self.octaves)
+        return max(self.counts)
 
     def detail(self, j: int) -> np.ndarray:
         if j not in self.octaves:
-            raise KeyError(f"octave {j} not present (octaves 1..{self.max_octave})")
+            raise KeyError(f"octave {j} not kept (octaves {sorted(self.octaves)})")
         return self.octaves[j]
 
 
-def _analysis_step(a: np.ndarray, low: np.ndarray, high: np.ndarray):
+def _analysis_step(a: np.ndarray, low: np.ndarray, high: np.ndarray | None):
+    """One valid-only step: (approximation, detail), the detail None when
+    high is None; None when no filter window fits."""
     length = low.size
     count = (a.shape[1] - length) // 2 + 1
     if count <= 0:
         return None
     windows = sliding_window_view(a, length, axis=1)[:, : 2 * count - 1 : 2]
-    return windows @ low, windows @ high
+    return windows @ low, None if high is None else windows @ high
 
 
 def pyramid_transform(series: MultivariateSeries, filter_pair: FilterPair,
-                      j_max: int) -> DetailPyramid:
-    """Run the pyramid analysis down to octave j_max, row-wise.
+                      j_max: int, j_min: int = 1) -> DetailPyramid:
+    """Run the pyramid analysis down to octave j_max, row-wise, keeping the
+    details of octaves j_min..j_max.
 
     The approximation sequence at octave 0 is the series itself. Each
     coarser level keeps only coefficients whose filter window lies fully
     inside the previous level, so no sample padding of any kind occurs.
-    If some octave <= j_max admits no valid coefficient the pyramid stops
-    there and is marked truncated.
+    Octaves below j_min only carry the approximation down; their details
+    are never formed. If some octave <= j_max admits no valid coefficient
+    the pyramid stops there and is marked truncated.
     """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    if not 1 <= j_min <= j_max:
+        raise ValueError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
     check_series_length(series.n, filter_pair.length)
     octaves: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
@@ -216,11 +221,13 @@ def pyramid_transform(series: MultivariateSeries, filter_pair: FilterPair,
     approx = np.ascontiguousarray(series.values)
     truncated = False
     for j in range(1, j_max + 1):
-        step = _analysis_step(approx, filter_pair.low_pass, filter_pair.high_pass)
+        high = filter_pair.high_pass if j >= j_min else None
+        step = _analysis_step(approx, filter_pair.low_pass, high)
         if step is None:
             truncated = True
             break
         approx, detail = step
-        octaves[j] = detail
-        counts[j] = detail.shape[1]
+        counts[j] = approx.shape[1]
+        if detail is not None:
+            octaves[j] = detail
     return DetailPyramid(octaves=octaves, counts=counts, truncated=truncated)

@@ -47,6 +47,23 @@ def jacobi_eigen(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
     return lam[order], v[:, order]
 
 
+def circulant_spectrum_reference(hurst, point_cov, n: int):
+    """The (n+1, r, r) spectral matrices of the length-2n circulant
+    embedding, built lag array by lag array: fgn_cross_covariance per
+    coordinate pair into an (n+1, r, r) array, its even extension to length
+    2n, and one rfft along axis 0 over all r*r columns."""
+    from eigenwave.simulate import fgn_cross_covariance
+    r = len(hurst)
+    lags = np.arange(n + 1)
+    cov = np.empty((n + 1, r, r))
+    for a in range(r):
+        for b in range(a, r):
+            g = fgn_cross_covariance(hurst[a], hurst[b], point_cov[a, b], lags)
+            cov[:, a, b] = g
+            cov[:, b, a] = g
+    return np.fft.rfft(np.concatenate([cov, cov[1:-1][::-1]], axis=0), axis=0).real
+
+
 def synthesize_ofbm_reference(spec, n: int, seed):
     """Circulant-embedding synthesis as written before the embedding root
     was cached: it factors the spectrum on every call and shapes the noise
@@ -55,18 +72,10 @@ def synthesize_ofbm_reference(spec, n: int, seed):
 
     Returns (increments as an (r, n) array, clipped energy, warning).
     """
-    from eigenwave.simulate import CLIP_ENERGY_TOL, fgn_cross_covariance
+    from eigenwave.simulate import CLIP_ENERGY_TOL
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     r, m = spec.r, 2 * n
-    lags = np.arange(n + 1)
-    cov = np.empty((n + 1, r, r))
-    for a in range(r):
-        for b in range(a, r):
-            g = fgn_cross_covariance(spec.hurst[a], spec.hurst[b], spec.point_cov[a, b], lags)
-            cov[:, a, b] = g
-            cov[:, b, a] = g
-    spectra = np.fft.rfft(np.concatenate([cov, cov[1:-1][::-1]], axis=0), axis=0).real
-    lam, vec = np.linalg.eigh(spectra)
+    lam, vec = np.linalg.eigh(circulant_spectrum_reference(spec.hurst, spec.point_cov, n))
     clipped = np.maximum(-lam, 0.0).sum()
     total = np.abs(lam).sum()
     clip_energy = float(clipped / total) if total > 0 else 0.0

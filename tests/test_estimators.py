@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenwave import estimators
 from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, OctaveRangeError,
                                   effective_dimension,
                                   estimate_series, hurst_exponents,
@@ -12,7 +13,7 @@ from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, OctaveRangeError,
 from eigenwave.simulate import (OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
 from eigenwave.spectrum import LogEigenSpectrum
-from eigenwave.wavelets import make_filter_bank
+from eigenwave.wavelets import make_filter_bank, pyramid_transform
 from oracles import kappa_sweep_reference, scaling_diagnostic_reference
 
 
@@ -310,6 +311,27 @@ class TestEstimateSeries:
         fixed = estimate_series(series, fp, 4, 7, r=1)
         assert fixed.h_hat.size == 1
         assert auto.r_hat == auto.h_hat.size
+
+    def test_pyramid_starts_keeping_details_at_j1(self, monkeypatch):
+        series = self._series(h=0.8, n=2 ** 13, seed=34)
+        fp = make_filter_bank("daubechies", 3)
+        calls = []
+
+        def spy(series, filter_pair, j_max, j_min=1):
+            calls.append((j_max, j_min))
+            return pyramid_transform(series, filter_pair, j_max, j_min)
+
+        monkeypatch.setattr(estimators, "pyramid_transform", spy)
+        got = estimate_series(series, fp, 4, 7)
+        assert calls == [(7, 4)]
+        monkeypatch.setattr(estimators, "pyramid_transform",
+                            lambda series, filter_pair, j_max, j_min: pyramid_transform(
+                                series, filter_pair, j_max))
+        full = estimate_series(series, fp, 4, 7)
+        for field in ("ell_hat", "h_hat", "delta"):
+            assert getattr(got, field).tobytes() == getattr(full, field).tobytes()
+        assert got.weights.w.tobytes() == full.weights.w.tobytes()
+        assert (got.r_hat, got.octaves) == (full.r_hat, full.octaves)
 
     def test_exports(self, tmp_path):
         series = self._series(n=2048, seed=5)

@@ -4,8 +4,8 @@ from oracles import ks_subset_average_reference
 
 from eigenwave import montecarlo
 from eigenwave.estimators import OctaveRangeError, estimate_series
-from eigenwave.montecarlo import (McConfig, gamma_plot, ks_critical,
-                                  ks_statistic, ks_subset_average,
+from eigenwave.montecarlo import (McConfig, draw_observation, gamma_plot,
+                                  ks_critical, ks_statistic, ks_subset_average,
                                   mahalanobis_sq, run_replications, summarize)
 from eigenwave.simulate import (NoiseSpec, OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
@@ -238,6 +238,15 @@ class TestRunReplications:
         est = estimate_series(path, make_filter_bank("daubechies", 2),
                               cfg.j1, cfg.j2, r=1)
         assert record.h_hat[0] == pytest.approx(est.h_hat[0], abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("iid_gaussian", variance=2.5),
+                                       NoiseSpec("arma", ar=(0.6,), ma=(0.3,)),
+                                       NoiseSpec("none")])
+    def test_drawn_noise_shares_no_memory_with_the_observation(self, noise):
+        # simulate --components writes Z after Y, so Y must not alias Z
+        observed, latent, z, mixing, _ = draw_observation(small_config(noise=noise), 0)
+        assert not np.shares_memory(observed.values, z.values)
+        assert observed.values.tobytes() == (mixing @ latent.values + z.values).tobytes()
 
     def test_derived_dimension_validated(self):
         with pytest.raises(ValueError, match="below latent"):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from oracles import arma_noise_reference, synthesize_ofbm_reference
+from oracles import (arma_noise_reference, circulant_spectrum_reference,
+                     synthesize_ofbm_reference)
 
 from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 SynthesisDiagnostics, _arma_block_operators,
-                                _arma_burn_in, _arma_filter, _embedding_root,
+                                _arma_burn_in, _arma_filter, _circulant_spectrum,
+                                _embedding_root,
                                 assemble_observations, cumulative_path,
                                 fgn_cross_covariance, make_mixing_matrix,
                                 synthesize_noise, synthesize_ofbm_increments)
@@ -156,6 +158,11 @@ UNIVARIATE = OfBmSpec(hurst=(0.7,), point_cov=np.eye(1))
 FIG1_LIKE = OfBmSpec(hurst=(0.1, 0.3, 0.5, 0.6, 0.8, 0.9),
                      point_cov=np.array([1.0, 0.2, 0.2, 0.3, 0.2, 0.3])[
                          np.abs(np.subtract.outer(np.arange(6), np.arange(6)))])
+# Repeated exponents: three coordinate pairs share e = 1.0 and two e = 1.4.
+REPEATED = OfBmSpec(hurst=(0.5, 0.5, 0.9),
+                    point_cov=np.array([[1.0, 0.4, 0.2],
+                                        [0.4, 1.0, 0.3],
+                                        [0.2, 0.3, 1.0]]))
 
 # Each call follows one with another spec or n (a stale cached root shows),
 # and some repeat the call before them (a cache hit must match too). Specs
@@ -167,7 +174,7 @@ CACHED_DRAWS = [
     (FIG4_LIKE, 1024, 3), (FIG4_CORRELATED, 1024, 3), (FIG4_LIKE, 1024, 4),
     (FIG1_LIKE, 256, 5), (FIG1_LIKE, 256, 6), (FIG1_LIKE, 512, 6),
     (CLIPPED, 256, 3), (CLIPPED, 256, 7), (UNCLIPPED, 256, 3), (CLIPPED, 256, 8),
-    (UNIVARIATE, 512, 1), (FIG4_CORRELATED, 1024, 9),
+    (UNIVARIATE, 512, 1), (FIG4_CORRELATED, 1024, 9), (REPEATED, 256, 10),
 ]
 
 
@@ -183,10 +190,20 @@ class TestCachedSynthesis:
             assert series.values.tobytes() == ref.T.tobytes(), (spec.hurst, n, seed)
             assert diag == SynthesisDiagnostics(clip_energy, warning), (spec.hurst, n, seed)
 
+    @pytest.mark.parametrize("n", [2, 4, 256, 4096])
+    def test_spectrum_equals_the_per_lag_construction(self, n):
+        specs = {id(spec): spec for spec, _, _ in CACHED_DRAWS}.values()
+        for spec in specs:
+            got = _circulant_spectrum(spec.hurst, spec.point_cov, n)
+            ref = circulant_spectrum_reference(spec.hurst, spec.point_cov, n)
+            assert got.shape == ref.shape == (n + 1, spec.r, spec.r)
+            assert got.tobytes() == ref.tobytes(), spec.hurst
+
     def test_cached_root_is_read_only(self):
         synthesize_ofbm_increments(FIG4_LIKE, 1024, 1)
         half, _ = _embedding_root(FIG4_LIKE.hurst, FIG4_LIKE.point_cov.tobytes(), 1024)
         assert half.shape == (1024 + 1, 3, 3)
+        assert half.flags.c_contiguous  # the shaping products depend on the layout
         assert not half.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             half[0, 0, 0] = 1.0
@@ -224,6 +241,21 @@ class TestNoise:
         for row in z.values:
             # variance of the sample variance is 2/n for unit Gaussians
             assert abs(row.var() - 1.0) < 3 * np.sqrt(2.0 / row.size)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iid_is_the_scaled_draw_bit_for_bit(self, seed):
+        z = synthesize_noise(NoiseSpec("iid_gaussian", variance=2.5), 3, 257, seed)
+        expect = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257))
+        assert z.values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_arma_filters_the_scaled_draw_bit_for_bit(self, seed):
+        spec = NoiseSpec("arma", variance=2.5, ar=(0.6,), ma=(0.3,))
+        burn = _arma_burn_in(spec)
+        eps = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257 + burn))
+        _arma_filter(eps, spec.ar, spec.ma)
+        z = synthesize_noise(spec, 3, 257, seed)
+        assert z.values.tobytes() == eps[:, burn:].tobytes()
 
     def test_ar1_autocorrelation(self):
         rng = np.random.default_rng(3)
@@ -374,6 +406,21 @@ class TestAssemble:
                     acc += mix[i, q] * x.values[q, t]
                 expect[i, t] = acc
         np.testing.assert_allclose(y.values, expect, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("z_layout", ["contiguous", "column slice"])
+    def test_is_the_product_plus_noise_bit_for_bit(self, z_layout):
+        rng = np.random.default_rng(12)
+        mix = rng.standard_normal((7, 3))
+        x = MultivariateSeries(rng.standard_normal((3, 1000)))
+        z_rows = rng.standard_normal((7, 1013))
+        if z_layout == "contiguous":
+            z_rows = z_rows[:, 13:].copy()
+        z = MultivariateSeries(z_rows[:, -1000:])
+        z_bytes = z_rows.tobytes()
+        y = assemble_observations(mix, x, z)
+        assert y.values.tobytes() == (mix @ x.values + z.values).tobytes()
+        assert z_rows.tobytes() == z_bytes  # the noise is never written into
+        assert not np.shares_memory(y.values, z_rows)
 
     def test_shape_mismatch_rejected(self):
         x = MultivariateSeries(np.zeros((2, 5)))

@@ -141,6 +141,33 @@ class TestAnalysisStep:
             np.testing.assert_array_equal(c.detail(j), f.detail(j))
 
 
+class TestPyramidFromJMin:
+    @pytest.mark.parametrize("family, nv", [("haar", 1), ("daubechies", 2), ("daubechies", 6)])
+    def test_kept_details_equal_the_full_pyramid(self, family, nv):
+        # n = 1000 reaches octave 7 with Haar and db2; db6 stops after octave 6
+        fp = make_filter_bank(family, nv)
+        y = np.cumsum(np.random.default_rng(nv).standard_normal((4, 1000)), axis=1)
+        full = pyramid_transform(MultivariateSeries(y), fp, 7)
+        assert full.truncated == (nv == 6)
+        for j_min in range(1, 8):
+            kept = pyramid_transform(MultivariateSeries(y), fp, 7, j_min=j_min)
+            assert kept.counts == full.counts
+            assert kept.truncated == full.truncated
+            assert kept.max_octave == full.max_octave
+            assert sorted(kept.octaves) == [j for j in full.octaves if j >= j_min]
+            for j in kept.octaves:
+                assert kept.detail(j).tobytes() == full.detail(j).tobytes()
+            if j_min > 1:
+                with pytest.raises(KeyError, match="not kept"):
+                    kept.detail(j_min - 1)
+
+    @pytest.mark.parametrize("j_min", [-1, 0, 5])
+    def test_j_min_outside_one_to_j_max_rejected(self, j_min):
+        series = MultivariateSeries(np.ones((1, 64)))
+        with pytest.raises(ValueError, match="1 <= j_min <= j_max"):
+            pyramid_transform(series, make_filter_bank("haar"), 4, j_min=j_min)
+
+
 class TestPyramid:
     def test_constant_annihilated(self):
         series = MultivariateSeries(np.full((2, 256), 3.7))
