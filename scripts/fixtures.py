@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The eighteen runs take about 8 s on two cores. This is a tool for refactors that
+The twenty-three runs take about 9 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -73,6 +73,25 @@ ARMA_COMPONENTS = {
     "io": {"formats": ["csv", "binary"], "components": True},
 }
 
+# One config per kind of schema rule, each rejected with exit 2: the listing
+# pins the bytes of the path and message it reports.
+REJECTED = {
+    "type": {**FLOORED, "model": {**FLOORED["model"], "n": 1024.0}},
+    "additional": {**FLOORED, "mc": {"replications": 3, "x": 1}},
+    "min-items": {**FLOORED, "analysis": {"j1": 3, "j2": 7, "kappa_grid": []}},
+    "one-of": {**FLOORED, "model": {**FLOORED["model"], "point_cov": "x"}},
+    "required": {**FLOORED, "model": {k: v for k, v in FLOORED["model"].items() if k != "n"}},
+}
+
+CONFIGS = {
+    "floored.json": FLOORED,
+    "clipped.json": CLIPPED,
+    "one-octave.json": ONE_OCTAVE,
+    "ks-subsets.json": KS_SUBSETS,
+    "arma-components.json": ARMA_COMPONENTS,
+    **{f"rejected-{name}.json": doc for name, doc in REJECTED.items()},
+}
+
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
     "mc-fig4-ks": ["mc", "--config", "ks-subsets.json", "--reps", "60", "--seed", "41",
@@ -98,6 +117,8 @@ FIXTURES = {
     "simulate-arma-components": ["simulate", "--config", "arma-components.json"],
     "simulate-clipped": ["simulate", "--config", "clipped.json"],
     "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
+    **{f"simulate-rejected-{name}": ["simulate", "--config", f"rejected-{name}.json"]
+       for name in REJECTED},
 }
 
 
@@ -115,11 +136,8 @@ def main(argv=None) -> int:
     if args.out.exists() and any(args.out.iterdir()):
         parser.error(f"{args.out} is not empty")
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "floored.json").write_text(json.dumps(FLOORED))
-    (args.out / "clipped.json").write_text(json.dumps(CLIPPED))
-    (args.out / "one-octave.json").write_text(json.dumps(ONE_OCTAVE))
-    (args.out / "ks-subsets.json").write_text(json.dumps(KS_SUBSETS))
-    (args.out / "arma-components.json").write_text(json.dumps(ARMA_COMPONENTS))
+    for name, doc in CONFIGS.items():
+        (args.out / name).write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     lines = []
     for name, command in FIXTURES.items():

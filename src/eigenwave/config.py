@@ -7,9 +7,9 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import copy
+import operator
 import sys
 
-import jsonschema
 import numpy as np
 
 from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA
@@ -129,15 +129,73 @@ SCHEMA = {
 }
 
 
-# Draft 2020-12, except that an integer is never written as a float (1024.0)
-# and a number is a finite float64: no NaN, infinity or 10**400.
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
-        "integer": lambda checker, x: type(x) is int,
-        "number": lambda checker, x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
-    }),
-)(SCHEMA)
+# Draft 2020-12 types, except that an integer is never written as a float
+# (1024.0) and a number is a finite float64: no NaN, infinity or 10**400.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "integer": lambda x: type(x) is int,
+    "number": lambda x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
+}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+
+def _errors(value, rule: dict, path: tuple = ()):
+    """Every (path, message) by which value breaks rule, worded as jsonschema
+    4.26 words them: the rule's keywords in dict order, each check skipped
+    when value is not of the type it applies to. Raises ValueError on a
+    keyword the walker does not implement, so none is silently ignored."""
+    for key, arg in rule.items():
+        if key == "type":
+            names = arg if isinstance(arg, list) else [arg]
+            if not any(_TYPES[name](value) for name in names):
+                yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "enum":  # string members only, where `in` is JSON equality
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS:
+            breaks, words = _BOUNDS[key]
+            if _TYPES["number"](value) and breaks(value, arg):
+                yield path, f"{value!r} {words} {arg!r}"
+        elif key in ("minItems", "minLength"):
+            if isinstance(value, list if key == "minItems" else str) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "items":
+            for index, item in enumerate(value if isinstance(value, list) else ()):
+                yield from _errors(item, arg, path + (index,))
+        elif key == "required":
+            for name in arg if isinstance(value, dict) else ():
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and arg is False:
+            known = rule.get("properties", {})
+            extras = [k for k in value if k not in known] if isinstance(value, dict) else []
+            if extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "properties":
+            for name, sub in arg.items() if isinstance(value, dict) else ():
+                if name in value:
+                    yield from _errors(value[name], sub, path + (name,))
+        elif key == "oneOf":
+            valid = [sub for sub in arg if not list(_errors(value, sub))]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{value!r} is valid under each of {reprs}"
+        elif key != "default":  # an annotation only
+            raise ValueError(f"config schema: unsupported keyword {key}: {arg!r}")
 
 
 def resolve_config(doc: dict) -> dict:
@@ -149,10 +207,11 @@ def resolve_config(doc: dict) -> dict:
     `estimate --data` needs only an analysis section. An absent Haar
     n_vanishing resolves to 1; make_filter_bank checks the filter.
     """
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        path = ".".join(str(part) for part in errors[0].absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {errors[0].message}", path=path)
+    # the first error in path order; min keeps the earliest of equal paths
+    error = min(_errors(doc, SCHEMA), key=lambda error: error[0], default=None)
+    if error is not None:
+        path = ".".join(str(part) for part in error[0]) or "<root>"
+        raise ConfigError(f"{path}: {error[1]}", path=path)
     effective = copy.deepcopy(doc)
     analysis = effective["analysis"]
     if analysis.get("family") == "haar":

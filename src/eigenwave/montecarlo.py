@@ -10,7 +10,6 @@ Kolmogorov-Smirnov decision.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -128,6 +127,8 @@ def run_replications(config: McConfig, workers: int = 1):
     workers = min(workers, config.replications)
     if workers <= 1:
         return [_replicate(config, i) for i in indices]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     chunk = max(1, config.replications // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate, repeat(config), indices, chunksize=chunk))

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import multiprocessing
 import os
@@ -7,14 +8,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eigenwave
+from eigenwave import config
 from eigenwave.cli import main
-from eigenwave.config import (PRESETS, ConfigError, build_mc_config, preset_config,
+from eigenwave.config import (PRESETS, SCHEMA, ConfigError, build_mc_config, preset_config,
                               resolve_config)
 from eigenwave.montecarlo import draw_observation
 from eigenwave.series import (MultivariateSeries, read_series_binary, read_series_csv,
@@ -837,3 +840,157 @@ COMMANDS = [[], ["simulate", "--preset", "fig4"], ["estimate", "--preset", "fig4
 @example(argv=["estimate", "--preset", "fig4", "--kappa", "nan"])
 def test_rejected_argv_ends_in_one_json_line(capsys, argv):
     assert_rejected(argv, {}, capsys)
+
+
+# The config walker against jsonschema, which it replaced and which stays a
+# test-only oracle, with the same integer and number rules restated: every
+# rejected config keeps the path and message jsonschema gave it.
+ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda checker, x: type(x) is int,
+        "number": lambda checker, x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
+    }),
+)(SCHEMA)
+
+ARMA_WIDE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench/workloads/arma-wide.json").read_text())
+BASES = [*PRESETS.values(), ARMA_WIDE]
+
+
+def oracle_first(doc):
+    """(path, message) of the error jsonschema reports first, or None."""
+    errors = sorted(ORACLE.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    return (tuple(errors[0].absolute_path), errors[0].message) if errors else None
+
+
+def walker_first(doc):
+    errors = sorted(config._errors(doc, SCHEMA), key=lambda error: error[0])
+    return errors[0] if errors else None
+
+
+def _rules(rule):
+    """Every rule in SCHEMA, into properties, items and oneOf branches."""
+    yield rule
+    for sub in [*rule.get("properties", {}).values(), *rule.get("oneOf", [])]:
+        yield from _rules(sub)
+    if "items" in rule:
+        yield from _rules(rule["items"])
+
+
+KEYS = sorted({name for rule in _rules(SCHEMA) for name in rule.get("properties", {})})
+ENUMS = sorted({member for rule in _rules(SCHEMA) for member in rule.get("enum", [])})
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2 ** 17), st.sampled_from([10 ** 400, -10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, 0.5, 0.9, 1.0, 1024.0]),
+    st.sampled_from(ENUMS), st.text(max_size=3))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(KEYS + ["x"]), inner, max_size=2)),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A preset or the arma-wide workload with one to three values replaced,
+    keys deleted or keys added; or a value that is not an object at all."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["replace", "replace", "replace", "delete", "add", "root"]))
+        paths = list(_paths(doc)) if isinstance(doc, (dict, list)) else []
+        if kind == "root" or not paths:
+            return draw(st.one_of(VALUES, st.just([doc])))
+        if kind == "add":
+            objects = [()] + [path for path in paths if isinstance(_at(doc, path), dict)]
+            key = draw(st.one_of(st.sampled_from(KEYS), st.text(max_size=4)))
+            _at(doc, draw(st.sampled_from(objects)))[key] = draw(VALUES)
+            continue
+        *parent, key = draw(st.sampled_from(paths))
+        if kind == "delete":
+            del _at(doc, parent)[key]
+        else:
+            _at(doc, parent)[key] = draw(VALUES)
+    return doc
+
+
+def _preset_with(path, value, base="fig4"):
+    """A preset with the value at path replaced, or deleted for KeyError."""
+    doc = copy.deepcopy(PRESETS[base])
+    *parent, key = path
+    if value is KeyError:
+        del _at(doc, parent)[key]
+    else:
+        _at(doc, parent)[key] = value
+    return doc
+
+
+UNKNOWN_BESIDE_MISSING = _preset_with(("model", "n"), KeyError)
+UNKNOWN_BESIDE_MISSING["model"]["x"] = 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=mutated_configs())
+def test_walker_reports_what_jsonschema_reports(doc):
+    assert walker_first(doc) == oracle_first(doc)
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_preset_with(("model", "n"), 1024.0), "model.n: 1024.0 is not of type 'integer'"),
+    (_preset_with(("model", "n"), float("nan")), "model.n: nan is not of type 'integer'"),
+    (_preset_with(("model", "r"), True), "model.r: True is not of type 'integer'"),
+    (_preset_with(("mc", "ratio"), 1e400), "mc.ratio: inf is not of type 'number'"),
+    (_preset_with(("analysis", "kappa"), float("-inf")),
+     "analysis.kappa: -inf is not of type 'number'"),
+    (_preset_with(("model", "hurst", 0), 1.0),
+     "model.hurst.0: 1.0 is greater than or equal to the maximum of 1"),
+    (_preset_with(("analysis", "kappa_grid"), []), "analysis.kappa_grid: [] should be non-empty"),
+    (_preset_with(("model", "point_cov"), "x"),
+     "model.point_cov: 'x' is not valid under any of the given schemas"),
+    (_preset_with(("model", "point_cov"), {"toeplitz": [1.0], "x": 1}, base="fig1"),
+     "model.point_cov: {'toeplitz': [1.0], 'x': 1} is not valid under any of the given schemas"),
+    (_preset_with(("mc", "x"), 1),
+     "mc: Additional properties are not allowed ('x' was unexpected)"),
+    (_preset_with(("model", "n"), KeyError), "model: 'n' is a required property"),
+    (UNKNOWN_BESIDE_MISSING, "model: Additional properties are not allowed ('x' was unexpected)"),
+])
+def test_rejection_keeps_its_path_and_message(doc, error):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(doc)
+    assert (err.value.path, str(err.value)) == (error.split(":")[0], error)
+    path, message = oracle_first(doc)
+    assert error == f"{'.'.join(map(str, path))}: {message}"
+
+
+def test_schema_uses_only_keywords_the_walker_implements():
+    # a keyword the walker lacks raises instead of being skipped
+    for rule in _rules(SCHEMA):
+        for key, arg in rule.items():
+            for probe in (None, 0, "", [], {}):
+                list(config._errors(probe, {key: arg}))
+        # `in` is JSON equality only for strings: it takes True for 1
+        assert all(isinstance(member, str) for member in rule.get("enum", []))
+
+
+@pytest.mark.parametrize("rule", [{"pattern": "^a"}, {"maxItems": 2},
+                                  {"additionalProperties": {"type": "number"}}])
+def test_walker_rejects_a_keyword_it_does_not_implement(rule):
+    with pytest.raises(ValueError, match="unsupported keyword"):
+        list(config._errors({}, rule))
+
+
+def test_cli_loads_neither_jsonschema_nor_the_process_pool():
+    script = (
+        "import sys\n"
+        "import eigenwave.cli\n"
+        "from eigenwave.config import PRESETS, build_mc_config, preset_config, resolve_config\n"
+        "for name in PRESETS:\n"
+        "    build_mc_config(resolve_config(preset_config(name)))\n"
+        "loaded = ('jsonschema', 'multiprocessing', 'concurrent.futures.process')\n"
+        "print(*(name for name in loaded if name in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from oracles import ks_subset_average_reference
@@ -217,7 +219,7 @@ class TestRunReplications:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = small_config(replications=3)
         records = run_replications(cfg, workers=10 ** 6)
         assert started == [3]
