@@ -42,7 +42,8 @@ FLOORED = {
 
 # Cross-covariance 0.99 between exponents 0.1 and 0.9 is not admissible, so
 # the circulant embedding clips: simulate warns, and every mc replication is
-# flagged, so the study exits 3.
+# flagged, so the study exits 3 with only records.ndjson (each replication's
+# clipped energy) and effective_config.json written.
 CLIPPED = {
     "model": {"r": 2, "hurst": [0.1, 0.9], "point_cov": [[1.0, 0.99], [0.99, 1.0]],
               "mixing": {"kind": "canonical"}, "n": 1024, "p": 2},

@@ -142,6 +142,9 @@ def cmd_mc(args) -> int:
     mc_config = build_mc_config(cfg)
     out = _out_dir(cfg)
     records = run_replications(mc_config, workers=args.workers)
+    # before summarize, which fails a study whose every replication is flagged
+    write_records_ndjson(records, out / "records.ndjson")
+    write_json(cfg, out / "effective_config.json")
     truth = cfg["model"]["hurst"]
     summary = summarize(records, kappa_grid=mc_config.kappa_grid, true_hurst=truth)
     good = [rec for rec in records if not rec.flagged]
@@ -161,9 +164,7 @@ def cmd_mc(args) -> int:
         write_gamma_csv(plot, out / "gamma_plot.csv")
         write_ks_json(plot, out / "ks.json", subset=subset)
     write_sweep_csv(summary["rhat_sweep"], out / "rhat_sweep.csv")
-    write_records_ndjson(records, out / "records.ndjson")
     write_json(summary, out / "summary.json")
-    write_json(cfg, out / "effective_config.json")
     return 0
 
 
@@ -190,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reps=False, workers=False, data=False):
+    def command(name, func, text):
+        p = sub.add_parser(name, help=text)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--config", metavar="PATH", help="run config JSON")
         source.add_argument("--preset", choices=sorted(PRESETS),
@@ -200,27 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", dest="analysis.kappa", type=float, metavar="F",
                        help="sets analysis.kappa")
         p.add_argument("--out", dest="io.out_dir", metavar="DIR", help="sets io.out_dir")
-        if reps:
-            p.add_argument("--reps", dest="mc.replications", type=int, metavar="M",
-                           help="sets mc.replications")
-        if workers:
-            p.add_argument("--workers", type=positive_int, default=1, metavar="N",
-                           help="parallel worker processes, at least 1 (default 1)")
-        if data:
-            p.add_argument("--data", metavar="PATH",
-                           help="series file (.csv or binary) to estimate from")
+        p.set_defaults(func=func)
+        return p
 
-    sim = sub.add_parser("simulate", help="synthesize one realization of the model")
-    common(sim)
-    sim.set_defaults(func=cmd_simulate)
-
-    est = sub.add_parser("estimate", help="run the estimation pipeline")
-    common(est, data=True)
-    est.set_defaults(func=cmd_estimate)
-
-    mc = sub.add_parser("mc", help="run a Monte Carlo study")
-    common(mc, reps=True, workers=True)
-    mc.set_defaults(func=cmd_mc)
+    command("simulate", cmd_simulate, "synthesize one realization of the model")
+    est = command("estimate", cmd_estimate, "run the estimation pipeline")
+    est.add_argument("--data", metavar="PATH",
+                     help="series file (.csv or binary) to estimate from")
+    mc = command("mc", cmd_mc, "run a Monte Carlo study")
+    mc.add_argument("--reps", dest="mc.replications", type=int, metavar="M",
+                    help="sets mc.replications")
+    mc.add_argument("--workers", type=positive_int, default=1, metavar="N",
+                    help="parallel worker processes, at least 1 (default 1)")
     return parser
 
 

@@ -212,25 +212,27 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
     r = spec.r
     m = 2 * n
     half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
-    mirrored = half[1:-1][::-1]  # frequencies n+1..2n-1; the spectrum is even
-
-    def shape(noise):
-        return np.concatenate([np.matmul(half, noise[: n + 1, :, None])[..., 0],
-                               np.matmul(mirrored, noise[n + 1:, :, None])[..., 0]])
-
-    noise_re = rng.standard_normal((m, r))
-    noise_re /= np.sqrt(2.0)
-    noise_im = rng.standard_normal((m, r))
-    noise_im /= np.sqrt(2.0)
-    shaped = shape(noise_re) + 1j * shape(noise_im)
-    increments = np.sqrt(2.0 * m) * np.fft.ifft(shaped, axis=0)[:n].real
+    # The increments are Re(ifft) of the draw (eps + i eta) / sqrt(2) shaped
+    # at all m frequencies, which is the irfft of the shaped draw's Hermitian
+    # part. Frequencies k and m - k share half[k], so their draws fold into
+    # one: ((eps_k + eps_{m-k}) / 2, (eta_k - eta_{m-k}) / 2) for 0 < k < n,
+    # and (eps_k, 0) at k = 0 and n, leaving the sqrt(2) in the scale.
+    eps = rng.standard_normal((m, r))
+    eta = rng.standard_normal((m, r))
+    folded = np.zeros((n + 1, r, 2))
+    folded[:, :, 0] = eps[: n + 1]
+    folded[1:n, :, 0] += eps[:n:-1]
+    folded[1:n, :, 1] = eta[1:n] - eta[:n:-1]
+    folded[1:n] /= 2.0
+    shaped = np.matmul(half, folded).view(np.complex128)[..., 0]  # (n+1, r)
+    increments = np.sqrt(m) * np.fft.irfft(shaped.T, m)[:, :n]
     warning = None
     if clip_energy > CLIP_ENERGY_TOL:
         warning = (
             f"circulant embedding clipped {clip_energy:.3e} relative spectral "
             f"energy; output covariance is approximate"
         )
-    return MultivariateSeries(increments.T), SynthesisDiagnostics(clip_energy, warning)
+    return MultivariateSeries(increments), SynthesisDiagnostics(clip_energy, warning)
 
 
 def cumulative_path(increments: MultivariateSeries) -> MultivariateSeries:

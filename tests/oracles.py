@@ -66,9 +66,11 @@ def circulant_spectrum_reference(hurst, point_cov, n: int):
 
 def synthesize_ofbm_reference(spec, n: int, seed):
     """Circulant-embedding synthesis as written before the embedding root
-    was cached: it factors the spectrum on every call and shapes the noise
-    with the full mirrored (2n, r, r) array of roots. Same RNG order, so
-    eigenwave's synthesize_ofbm_increments must match it bit for bit.
+    was cached: it factors the spectrum on every call, shapes the noise
+    with the full mirrored (2n, r, r) array of roots and keeps the real
+    part of a complex ifft. Same RNG order; eigenwave's
+    synthesize_ofbm_increments shapes only the Hermitian half and takes an
+    irfft, so it matches this to rounding, not bit for bit.
 
     Returns (increments as an (r, n) array, clipped energy, warning).
     """

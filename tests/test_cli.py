@@ -284,6 +284,22 @@ class TestMc:
         assert code == expected, err
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_all_flagged_study_keeps_its_records(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, {**MINIMAL, "model": CLIPPED_MODEL})
+        out = tmp_path / "out"
+        code, _, err = run(["mc", "--config", cfg, "--reps", "3", "--workers", workers,
+                            "--out", str(out)], capsys)
+        assert code == 3, err
+        assert err.count("\n") == 1, err
+        assert json.loads(err) == {
+            "code": 3, "error": "every replication was flagged by synthesis diagnostics"}
+        assert sorted(os.listdir(out)) == ["effective_config.json", "records.ndjson"]
+        records = [json.loads(line) for line in (out / "records.ndjson").read_text().splitlines()]
+        assert [rec["index"] for rec in records] == [0, 1, 2]
+        assert all(rec["flagged"] and rec["clipped_energy"] > 1e-6 for rec in records)
+        assert json.loads((out / "effective_config.json").read_text())["mc"]["replications"] == 3
+
     def test_tiny_run_skips_gamma_outputs(self, tmp_path, capsys):
         # below the M > 5r covariance-stability cut the distributional
         # outputs are refused but the study still completes
@@ -840,6 +856,17 @@ COMMANDS = [[], ["simulate", "--preset", "fig4"], ["estimate", "--preset", "fig4
 @example(argv=["estimate", "--preset", "fig4", "--kappa", "nan"])
 def test_rejected_argv_ends_in_one_json_line(capsys, argv):
     assert_rejected(argv, {}, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "fig4", "--reps", "3"],
+    ["estimate", "--preset", "fig4", "--workers", "2"],
+    ["mc", "--preset", "fig4", "--data", "x.bin"],
+])
+def test_flag_of_another_command_is_rejected(capsys, argv):
+    error = assert_rejected(argv, {}, capsys)
+    assert error["code"] == 2
+    assert error["error"] == f"unrecognized arguments: {' '.join(argv[-2:])}"
 
 
 # The config walker against jsonschema, which it replaced and which stays a

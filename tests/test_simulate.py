@@ -175,20 +175,34 @@ CACHED_DRAWS = [
     (FIG1_LIKE, 256, 5), (FIG1_LIKE, 256, 6), (FIG1_LIKE, 512, 6),
     (CLIPPED, 256, 3), (CLIPPED, 256, 7), (UNCLIPPED, 256, 3), (CLIPPED, 256, 8),
     (UNIVARIATE, 512, 1), (FIG4_CORRELATED, 1024, 9), (REPEATED, 256, 10),
+    (UNIVARIATE, 2, 11), (FIG4_CORRELATED, 2, 12),  # one folded pair, k = 1
 ]
 
 
 class TestCachedSynthesis:
-    """The embedding root is factored once per (hurst, point_cov, n); every
-    draw must still equal the synthesis that factors it on each call."""
+    """The embedding root is factored once per (hurst, point_cov, n), and
+    the draw shapes only the n + 1 Hermitian frequencies; every draw must
+    still equal, to rounding, the synthesis that factors the root on each
+    call and shapes all 2n frequencies."""
 
-    def test_bit_identical_to_uncached_synthesis(self):
+    def test_matches_the_mirrored_complex_synthesis(self):
         for spec, n, seed in CACHED_DRAWS:
             series, diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
             ref, clip_energy, warning = synthesize_ofbm_reference(
                 spec, n, np.random.default_rng(seed))
-            assert series.values.tobytes() == ref.T.tobytes(), (spec.hurst, n, seed)
+            assert series.values.shape == ref.T.shape == (spec.r, n)
+            bound = 8 * np.finfo(float).eps * np.abs(ref).max()
+            assert np.abs(series.values - ref.T).max() <= bound, (spec.hurst, n, seed)
             assert diag == SynthesisDiagnostics(clip_energy, warning), (spec.hurst, n, seed)
+
+    def test_cached_draw_equals_a_fresh_one_bit_for_bit(self):
+        for spec, n, seed in CACHED_DRAWS:
+            synthesize_ofbm_increments(spec, n, 0)  # the root is now cached
+            cached, diag = synthesize_ofbm_increments(spec, n, seed)
+            _embedding_root.cache_clear()
+            fresh, fresh_diag = synthesize_ofbm_increments(spec, n, seed)
+            assert fresh.values.tobytes() == cached.values.tobytes(), (spec.hurst, n, seed)
+            assert fresh_diag == diag
 
     @pytest.mark.parametrize("n", [2, 4, 256, 4096])
     def test_spectrum_equals_the_per_lag_construction(self, n):
