@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The twenty-three runs take about 9 s on two cores. This is a tool for refactors that
+The twenty-six runs take about 10 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -54,6 +54,11 @@ CLIPPED = {
 # A slope needs two octaves: j1 == j2 is rejected (exit 2 at analysis.j1).
 ONE_OCTAVE = {**FLOORED, "analysis": {"j1": 5, "j2": 5}}
 
+# Octave 9 is past the last one a length-1024 series reaches with db2, so
+# simulate and mc exit 3 with the hint "reduce analysis.j2 to 8 or below",
+# before any draw and without creating the output directory.
+INFEASIBLE = {**FLOORED, "analysis": {"j1": 3, "j2": 9}}
+
 # The fig4 preset with the subset-averaged KS test, the only run that
 # reaches ks_subset_average.
 KS_SUBSETS = {
@@ -75,19 +80,22 @@ ARMA_COMPONENTS = {
 }
 
 # One config per kind of schema rule, each rejected with exit 2: the listing
-# pins the bytes of the path and message it reports.
+# pins the bytes of the path and message it reports. p-before-octaves has p
+# below r and an infeasible octave range: model.p is reported, not the range.
 REJECTED = {
     "type": {**FLOORED, "model": {**FLOORED["model"], "n": 1024.0}},
     "additional": {**FLOORED, "mc": {"replications": 3, "x": 1}},
     "min-items": {**FLOORED, "analysis": {"j1": 3, "j2": 7, "kappa_grid": []}},
     "one-of": {**FLOORED, "model": {**FLOORED["model"], "point_cov": "x"}},
     "required": {**FLOORED, "model": {k: v for k, v in FLOORED["model"].items() if k != "n"}},
+    "p-before-octaves": {**INFEASIBLE, "model": {**FLOORED["model"], "p": 1}},
 }
 
 CONFIGS = {
     "floored.json": FLOORED,
     "clipped.json": CLIPPED,
     "one-octave.json": ONE_OCTAVE,
+    "infeasible.json": INFEASIBLE,
     "ks-subsets.json": KS_SUBSETS,
     "arma-components.json": ARMA_COMPONENTS,
     **{f"rejected-{name}.json": doc for name, doc in REJECTED.items()},
@@ -118,6 +126,8 @@ FIXTURES = {
     "simulate-arma-components": ["simulate", "--config", "arma-components.json"],
     "simulate-clipped": ["simulate", "--config", "clipped.json"],
     "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
+    "simulate-infeasible": ["simulate", "--config", "infeasible.json"],
+    "mc-infeasible": ["mc", "--config", "infeasible.json", "--workers", "2"],
     **{f"simulate-rejected-{name}": ["simulate", "--config", f"rejected-{name}.json"]
        for name in REJECTED},
 }

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA
-from .montecarlo import DEFAULT_KAPPA_GRID, McConfig
+from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA, check_octave_range
+from .montecarlo import McConfig
 from .simulate import MixingSpec, NoiseSpec, OfBmSpec
 from .spectrum import DEFAULT_EIGEN_FLOOR
 from .wavelets import make_filter_bank
@@ -26,6 +26,8 @@ class ConfigError(ValueError):
         super().__init__(message)
         self.path = path
 
+
+DEFAULT_KAPPA_GRID = tuple(round(0.025 * k, 6) for k in range(1, 40))
 
 _MATRIX = {
     "type": "array", "minItems": 1,
@@ -187,13 +189,9 @@ def _errors(value, rule: dict, path: tuple = ()):
             for name, sub in arg.items() if isinstance(value, dict) else ():
                 if name in value:
                     yield from _errors(value[name], sub, path + (name,))
-        elif key == "oneOf":
-            valid = [sub for sub in arg if not list(_errors(value, sub))]
-            if not valid:
+        elif key == "oneOf":  # branches of distinct types: at most one holds
+            if all(list(_errors(value, sub)) for sub in arg):
                 yield path, f"{value!r} is not valid under any of the given schemas"
-            elif len(valid) > 1:
-                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
-                yield path, f"{value!r} is valid under each of {reprs}"
         elif key != "default":  # an annotation only
             raise ValueError(f"config schema: unsupported keyword {key}: {arg!r}")
 
@@ -269,9 +267,9 @@ def build_mc_config(cfg: dict) -> McConfig:
     replication 0.
 
     The observation dimension is model.p if given, else
-    round(mc.ratio * n / 2^j2). Every model rule is checked here, before any
-    replication is drawn: the typed specs enforce their own rules, and only
-    the facts they cannot see are checked by hand.
+    round(mc.ratio * n / 2^j2). Every model rule and the octave range are
+    checked here, before any replication is drawn: the typed specs enforce
+    their own rules, and only the facts they cannot see are checked by hand.
     """
     if "model" not in cfg:
         raise ConfigError("model: a model section is required to draw a series", path="model")
@@ -302,6 +300,8 @@ def build_mc_config(cfg: dict) -> McConfig:
     mixing = model["mixing"]
     mixing_spec = _typed("model.mixing.matrix" if "matrix" in mixing else "model.mixing",
                          MixingSpec, mixing["kind"], p, r, mixing.get("matrix"))
+    filter_length = make_filter_bank(analysis["family"], analysis["n_vanishing"]).length
+    check_octave_range(n, analysis["j1"], analysis["j2"], filter_length)
     return McConfig(
         model=spec,
         mixing_kind=mixing["kind"],

@@ -37,8 +37,8 @@ class OctaveRangeError(ValueError):
 def check_octave_range(n: int, j1: int, j2: int, filter_length: int) -> None:
     """Raise unless the pyramid of a length-n series reaches octaves j1..j2
     with a filter of this length: the pipeline's one feasibility rule."""
-    if j1 < 1 or j1 > j2:
-        raise ValueError(f"need 1 <= j1 <= j2, got ({j1}, {j2})")
+    if j1 < 1 or j1 >= j2:
+        raise ValueError(f"need 1 <= j1 < j2 (a slope needs two octaves), got ({j1}, {j2})")
     check_series_length(n, filter_length)
     empty = (j for j in range(1, j2 + 1) if not valid_count(n, j, filter_length))
     feasible = next(empty, j2 + 1) - 1
@@ -140,13 +140,12 @@ def effective_dimension(diagnostic: np.ndarray, kappa: float) -> int:
     return int((np.asarray(diagnostic) > kappa).sum())
 
 
-def kappa_sweep(diagnostic_samples, kappa_grid, true_r: int | None = None):
+def kappa_sweep(diagnostic_samples, kappa_grid, true_r: int):
     """Effective-dimension summary over a threshold grid.
 
     diagnostic_samples is an (M, p) array of per-replication diagnostics.
     Returns a list of rows (kappa, mean, q05, q95, exact) where exact
-    flags grid points whose mean equals the supplied true dimension
-    exactly; exact is None when no truth is given.
+    flags grid points whose mean equals the true dimension exactly.
     """
     samples = np.asarray(diagnostic_samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -158,8 +157,7 @@ def kappa_sweep(diagnostic_samples, kappa_grid, true_r: int | None = None):
     counts = np.stack([(samples > kappa).sum(axis=1) for kappa in grid], axis=1)
     means = counts.mean(axis=0)
     q05, q95 = np.quantile(counts, [0.05, 0.95], axis=0)
-    return [(float(kappa), float(mean), float(lo), float(hi),
-             None if true_r is None else float(mean) == float(true_r))
+    return [(float(kappa), float(mean), float(lo), float(hi), float(mean) == float(true_r))
             for kappa, mean, lo, hi in zip(grid, means, q05, q95)]
 
 

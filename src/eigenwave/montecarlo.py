@@ -15,30 +15,26 @@ from itertools import repeat
 
 import numpy as np
 
-from .estimators import (COUNT_WEIGHTED, DEFAULT_KAPPA, check_octave_range,
-                         estimate_series, kappa_sweep)
+from .estimators import estimate_series, kappa_sweep
 from .series import write_csv, write_json
 from .simulate import (CLIP_ENERGY_TOL, MixingSpec, NoiseSpec, OfBmSpec,
                        assemble_observations, cumulative_path,
                        make_mixing_matrix, synthesize_noise,
                        synthesize_ofbm_increments)
 from .special import chi2_cdf, chi2_quantile
-from .spectrum import DEFAULT_EIGEN_FLOOR
 from .wavelets import make_filter_bank
 
 KS_CRITICAL_COEFF = 1.358  # asymptotic 5% two-sided critical value coefficient
 MAHALANOBIS_MIN_RATIO = 5  # refuse Gamma plots with fewer than 5r samples
 CONDITION_LIMIT = 1e12
 
-DEFAULT_KAPPA_GRID = tuple(round(0.025 * k, 6) for k in range(1, 40))
-
 
 @dataclass(frozen=True)
 class McConfig:
     """One Monte Carlo study: model, analysis settings and replication plan.
 
-    p is the observation dimension and must be at least the latent dimension.
-    Every replication of a study that exists reaches octave j2.
+    Only config.build_mc_config makes one, after checking it, so p is at
+    least the latent dimension and every replication reaches octave j2.
     """
 
     model: OfBmSpec
@@ -50,24 +46,13 @@ class McConfig:
     p: int
     replications: int
     master_seed: int
-    family: str = "daubechies"
-    n_vanishing: int = 2
-    weight_scheme: str = COUNT_WEIGHTED
-    eigen_floor: float = DEFAULT_EIGEN_FLOOR
-    kappa: float = DEFAULT_KAPPA
-    kappa_grid: tuple = DEFAULT_KAPPA_GRID
-    mixing_matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(f"need at least one replication, got {self.replications}")
-        filter_length = make_filter_bank(self.family, self.n_vanishing).length
-        check_octave_range(self.n, self.j1, self.j2, filter_length)
-        if self.p < self.model.r:
-            raise ValueError(
-                f"observation dimension p={self.p} below latent dimension r={self.model.r}"
-            )
-        object.__setattr__(self, "kappa_grid", tuple(float(k) for k in self.kappa_grid))
+    family: str
+    n_vanishing: int
+    weight_scheme: str
+    eigen_floor: float
+    kappa: float
+    kappa_grid: tuple
+    mixing_matrix: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -237,10 +222,10 @@ def gamma_plot(samples) -> GammaPlotData:
                          ks_critical=float(ks_critical(m)))
 
 
-def summarize(records, kappa_grid, true_hurst=None) -> dict:
-    """Per-coordinate statistics of the exponent estimates and the
-    effective-dimension sweep. Flagged replications are counted but
-    excluded from every statistic; a study with none left fails."""
+def summarize(records, kappa_grid, true_hurst) -> dict:
+    """Per-coordinate statistics of the exponent estimates against the true
+    exponents, and the effective-dimension sweep. Flagged replications are
+    counted but excluded from every statistic; a study with none left fails."""
     records = list(records)
     if not records:
         raise ValueError("no records to summarize")
@@ -256,14 +241,11 @@ def summarize(records, kappa_grid, true_hurst=None) -> dict:
         "q05": [float(x) for x in np.quantile(h, 0.05, axis=0)],
         "q95": [float(x) for x in np.quantile(h, 0.95, axis=0)],
     }
-    true_r = None
-    if true_hurst is not None:
-        truth = np.asarray(true_hurst, dtype=np.float64)
-        stats["bias"] = [float(x) for x in h.mean(axis=0) - truth]
-        true_r = truth.size
+    truth = np.asarray(true_hurst, dtype=np.float64)
+    stats["bias"] = [float(x) for x in h.mean(axis=0) - truth]
     out["h"] = stats
     deltas = np.array([rec.delta for rec in good])
-    out["rhat_sweep"] = kappa_sweep(deltas, kappa_grid, true_r=true_r)
+    out["rhat_sweep"] = kappa_sweep(deltas, kappa_grid, truth.size)
     return out
 
 
@@ -291,7 +273,7 @@ def write_ks_json(plot: GammaPlotData, path, subset: dict | None = None) -> None
 def write_sweep_csv(rows, path) -> None:
     """CSV export with columns kappa, mean, q05, q95, exact_match."""
     write_csv(path, ["kappa", "mean", "q05", "q95", "exact_match"],
-              ((*stats, "" if exact is None else int(exact)) for *stats, exact in rows))
+              ((*stats, int(exact)) for *stats, exact in rows))
 
 
 def write_records_ndjson(records, path) -> None:

@@ -67,9 +67,8 @@ _DAUBECHIES_LOWPASS = {
 
 @dataclass(frozen=True)
 class FilterPair:
-    """Low/high-pass analysis filter pair with n_vanishing vanishing moments."""
+    """Low/high-pass analysis filter pair; length / 2 vanishing moments."""
 
-    n_vanishing: int
     low_pass: np.ndarray
     high_pass: np.ndarray
 
@@ -84,7 +83,7 @@ def _filter_pair(lowpass) -> FilterPair:
     v = u[::-1].copy()
     v[1::2] *= -1.0
     u.flags.writeable = v.flags.writeable = False  # every caller shares them
-    return FilterPair(n_vanishing=u.size // 2, low_pass=u, high_pass=v)
+    return FilterPair(low_pass=u, high_pass=v)
 
 
 _FILTERS = {n: _filter_pair(u) for n, u in _DAUBECHIES_LOWPASS.items()}

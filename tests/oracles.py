@@ -99,7 +99,7 @@ def synthesize_ofbm_reference(spec, n: int, seed):
     return increments, clip_energy, warning
 
 
-def kappa_sweep_reference(diagnostic_samples, kappa_grid, true_r=None):
+def kappa_sweep_reference(diagnostic_samples, kappa_grid, true_r):
     """The effective-dimension sweep as one loop over the threshold grid,
     with one quantile call per threshold and statistic."""
     samples = np.asarray(diagnostic_samples, dtype=np.float64)
@@ -110,8 +110,7 @@ def kappa_sweep_reference(diagnostic_samples, kappa_grid, true_r=None):
         mean = float(counts.mean())
         q05 = float(np.quantile(counts, 0.05))
         q95 = float(np.quantile(counts, 0.95))
-        exact = None if true_r is None else mean == float(true_r)
-        rows.append((float(kappa), mean, q05, q95, exact))
+        rows.append((float(kappa), mean, q05, q95, mean == float(true_r)))
     return rows
 
 

@@ -9,13 +9,13 @@ import json
 import numpy as np
 
 from eigenwave.cli import main
+from eigenwave.config import build_mc_config, preset_config, resolve_config
 from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, estimate_series,
                                   kappa_sweep, regression_weights,
                                   scaling_diagnostic, scaling_exponents)
-from eigenwave.montecarlo import (McConfig, gamma_plot, ks_critical,
-                                  run_replications)
+from eigenwave.montecarlo import gamma_plot, ks_critical, run_replications
 from eigenwave.series import MultivariateSeries
-from eigenwave.simulate import (NoiseSpec, OfBmSpec, cumulative_path,
+from eigenwave.simulate import (OfBmSpec, cumulative_path,
                                 fgn_cross_covariance,
                                 synthesize_ofbm_increments)
 from eigenwave.spectrum import LogEigenSpectrum
@@ -26,12 +26,6 @@ from oracles import jacobi_eigen
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def toeplitz_cov(first_row):
-    row = np.asarray(first_row, dtype=np.float64)
-    idx = np.abs(np.subtract.outer(np.arange(row.size), np.arange(row.size)))
-    return row[idx]
 
 
 def test_criterion_01_weight_identities():
@@ -131,16 +125,16 @@ def test_criterion_05_univariate_consistency():
            f"|mean - 0.7| = {bias:.4f} (limit 0.03), std = {spread:.4f} (limit 0.05)")
 
 
+def preset_study(name: str, replications: int):
+    """The study of a preset, built as the CLI builds it, with fewer replications."""
+    doc = preset_config(name)
+    doc["mc"]["replications"] = replications
+    return build_mc_config(resolve_config(doc))
+
+
 def test_criterion_06_separation():
-    hurst = (0.1, 0.3, 0.5, 0.6, 0.8, 0.9)
-    config = McConfig(
-        model=OfBmSpec(hurst=hurst,
-                       point_cov=toeplitz_cov([1.0, 0.2, 0.2, 0.3, 0.2, 0.3])),
-        mixing_kind="canonical",
-        noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=2 ** 16, j1=6, j2=9, p=32,
-        replications=50, master_seed=106,
-    )
+    config = preset_study("fig1", 50)  # n = 2^16, octaves 6..9, seed 106
+    hurst = config.model.hurst
     assert config.p == 32
     records = run_replications(config)
     h = np.array([rec.h_hat for rec in records])
@@ -155,13 +149,7 @@ def test_criterion_06_separation():
 
 
 def test_criterion_07_effective_dimension_plateau():
-    config = McConfig(
-        model=OfBmSpec(hurst=(0.25, 0.5, 0.75), point_cov=np.eye(3)),
-        mixing_kind="random_unit_columns",
-        noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=2 ** 12, j1=4, j2=6, p=32,
-        replications=200, master_seed=41,
-    )
+    config = preset_study("fig4", 200)  # n = 2^12, octaves 4..6, seed 41
     assert config.p == 32
     records = run_replications(config)
     grid = np.array(config.kappa_grid)
@@ -185,14 +173,7 @@ def test_criterion_07_effective_dimension_plateau():
 
 
 def test_criterion_08_gaussianity():
-    config = McConfig(
-        model=OfBmSpec(hurst=(0.1, 0.3, 0.5, 0.6, 0.8, 0.9),
-                       point_cov=toeplitz_cov([1.0, 0.2, 0.2, 0.3, 0.2, 0.3])),
-        mixing_kind="canonical",
-        noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=2 ** 14, j1=5, j2=7, p=64,
-        replications=500, master_seed=314,
-    )
+    config = preset_study("fig3", 500)  # n = 2^14, octaves 5..7, seed 314
     assert config.p == 64
     records = run_replications(config)
     samples = np.array([rec.h_hat for rec in records])

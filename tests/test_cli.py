@@ -972,6 +972,7 @@ def test_walker_reports_what_jsonschema_reports(doc):
     (_preset_with(("model", "hurst", 0), 1.0),
      "model.hurst.0: 1.0 is greater than or equal to the maximum of 1"),
     (_preset_with(("analysis", "kappa_grid"), []), "analysis.kappa_grid: [] should be non-empty"),
+    (_preset_with(("analysis", "j1"), 0), "analysis.j1: 0 is less than the minimum of 1"),
     (_preset_with(("model", "point_cov"), "x"),
      "model.point_cov: 'x' is not valid under any of the given schemas"),
     (_preset_with(("model", "point_cov"), {"toeplitz": [1.0], "x": 1}, base="fig1"),
@@ -997,6 +998,11 @@ def test_schema_uses_only_keywords_the_walker_implements():
                 list(config._errors(probe, {key: arg}))
         # `in` is JSON equality only for strings: it takes True for 1
         assert all(isinstance(member, str) for member in rule.get("enum", []))
+        # branches of distinct types: no value is valid under two of them,
+        # so the walker has only the "not valid under any" case of oneOf
+        types = [branch["type"] for branch in rule.get("oneOf", [])]
+        assert all(isinstance(name, str) for name in types)
+        assert len(set(types)) == len(types)
 
 
 @pytest.mark.parametrize("rule", [{"pattern": "^a"}, {"maxItems": 2},

@@ -236,8 +236,9 @@ class TestEffectiveDimension:
 
 class TestKappaSweep:
     def test_single_replication(self):
-        rows = kappa_sweep([[2.0]], [0.5, 1.5, 2.5])
+        rows = kappa_sweep([[2.0]], [0.5, 1.5, 2.5], true_r=1)
         assert [row[1] for row in rows] == [1.0, 1.0, 0.0]
+        assert [row[4] for row in rows] == [True, True, False]
 
     def test_identical_replications_collapse(self):
         rows = kappa_sweep([[2.0, 0.1]] * 7, [0.5], true_r=1)
@@ -246,11 +247,11 @@ class TestKappaSweep:
         assert exact is True
 
     def test_two_replication_mean(self):
-        rows = kappa_sweep([[0.9], [1.1]], [1.0])
+        rows = kappa_sweep([[0.9], [1.1]], [1.0], true_r=1)
         assert rows[0][1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("m, p", [(1, 3), (2, 5), (7, 12), (60, 8), (997, 96)])
-    @pytest.mark.parametrize("true_r", [None, 2])
+    @pytest.mark.parametrize("true_r", [0, 2])
     def test_equals_the_loop(self, m, p, true_r):
         rng = np.random.default_rng([m, p])
         # diagnostics on a 0.05 lattice tie with grid points; -inf marks
@@ -266,9 +267,9 @@ class TestKappaSweep:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kappa_sweep(np.empty((0, 2)), [0.5])
+            kappa_sweep(np.empty((0, 2)), [0.5], true_r=1)
         with pytest.raises(ValueError):
-            kappa_sweep([[1.0]], [])
+            kappa_sweep([[1.0]], [], true_r=1)
 
 
 class TestEstimateSeries:
@@ -303,6 +304,21 @@ class TestEstimateSeries:
         with pytest.raises(OctaveRangeError) as huge:  # stops at the first empty octave
             estimate_series(series, fp, 2, 10 ** 9)
         assert huge.value.last_feasible == err.value.last_feasible
+
+    @pytest.mark.parametrize("j1, j2", [(5, 5), (6, 5), (0, 5)])
+    def test_octave_range_rejected_before_the_pyramid(self, monkeypatch, j1, j2):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return pyramid_transform(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "pyramid_transform", spy)
+        fp = make_filter_bank("daubechies", 2)
+        with pytest.raises(ValueError, match=rf"need 1 <= j1 < j2 \(a slope needs two "
+                                             rf"octaves\), got \({j1}, {j2}\)"):
+            estimate_series(self._series(n=1024), fp, j1, j2)
+        assert calls == []
 
     def test_r_override_vs_estimated(self):
         series = self._series(h=0.8, n=2 ** 13, seed=33)

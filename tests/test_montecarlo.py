@@ -5,30 +5,26 @@ import pytest
 from oracles import ks_subset_average_reference
 
 from eigenwave import montecarlo
+from eigenwave.config import build_mc_config, resolve_config
 from eigenwave.estimators import OctaveRangeError, estimate_series
-from eigenwave.montecarlo import (McConfig, draw_observation, gamma_plot,
+from eigenwave.montecarlo import (draw_observation, gamma_plot,
                                   ks_critical, ks_statistic, ks_subset_average,
                                   mahalanobis_sq, run_replications, summarize)
-from eigenwave.simulate import (NoiseSpec, OfBmSpec, cumulative_path,
-                                synthesize_ofbm_increments)
+from eigenwave.simulate import cumulative_path, synthesize_ofbm_increments
 from eigenwave.special import chi2_cdf, chi2_quantile
 from eigenwave.wavelets import make_filter_bank
 
 
-def small_config(**overrides):
-    base = dict(
-        model=OfBmSpec(hurst=(0.4, 0.7), point_cov=np.eye(2)),
-        mixing_kind="random_unit_columns",
-        noise=NoiseSpec("iid_gaussian", variance=1.0),
-        n=1024,
-        j1=3,
-        j2=5,
-        p=8,
-        replications=6,
-        master_seed=99,
-    )
-    base.update(overrides)
-    return McConfig(**base)
+def small_config(replications=6, j2=5, **model):
+    """A two-exponent study built as the CLI builds one; keyword arguments
+    replace model keys."""
+    doc = {
+        "model": {"r": 2, "hurst": [0.4, 0.7], "mixing": {"kind": "random_unit_columns"},
+                  "n": 1024, "p": 8, **model},
+        "analysis": {"j1": 3, "j2": j2},
+        "mc": {"replications": replications, "master_seed": 99},
+    }
+    return build_mc_config(resolve_config(doc))
 
 
 class TestMahalanobis:
@@ -228,22 +224,20 @@ class TestRunReplications:
     def test_noiseless_identity_reduces_to_direct_estimate(self):
         # p = r, canonical mixing, no noise: the replication is exactly the
         # univariate pipeline on the same latent realization
-        model = OfBmSpec(hurst=(0.6,), point_cov=np.eye(1))
-        cfg = small_config(model=model, mixing_kind="canonical",
-                           noise=NoiseSpec("none"), p=1,
-                           replications=1)
+        cfg = small_config(r=1, hurst=[0.6], mixing={"kind": "canonical"},
+                           noise={"kind": "none"}, p=1, replications=1)
         assert cfg.p == 1
         record = run_replications(cfg)[0]
         rng = np.random.default_rng([cfg.master_seed, 0])
-        incr, _ = synthesize_ofbm_increments(model, cfg.n, rng)
+        incr, _ = synthesize_ofbm_increments(cfg.model, cfg.n, rng)
         path = cumulative_path(incr)
         est = estimate_series(path, make_filter_bank("daubechies", 2),
                               cfg.j1, cfg.j2, r=1)
         assert record.h_hat[0] == pytest.approx(est.h_hat[0], abs=1e-12)
 
-    @pytest.mark.parametrize("noise", [NoiseSpec("iid_gaussian", variance=2.5),
-                                       NoiseSpec("arma", ar=(0.6,), ma=(0.3,)),
-                                       NoiseSpec("none")])
+    @pytest.mark.parametrize("noise", [{"kind": "iid_gaussian", "variance": 2.5},
+                                       {"kind": "arma", "ar": [0.6], "ma": [0.3]},
+                                       {"kind": "none"}])
     def test_drawn_noise_shares_no_memory_with_the_observation(self, noise):
         # simulate --components writes Z after Y, so Y must not alias Z
         observed, latent, z, mixing, _ = draw_observation(small_config(noise=noise), 0)
@@ -251,17 +245,16 @@ class TestRunReplications:
         assert observed.values.tobytes() == (mixing @ latent.values + z.values).tobytes()
 
     def test_derived_dimension_validated(self):
-        with pytest.raises(ValueError, match="below latent"):
-            small_config(p=0)
+        with pytest.raises(ValueError, match="observation dimension 1 below latent r=2"):
+            small_config(p=1)
 
-    @pytest.mark.parametrize("overrides, message", [
-        (dict(family="haar", n_vanishing=4), "haar has one vanishing moment, got 4"),
-        (dict(n=7), "series length 7 too short for filter length 4; need at least 8"),
-        (dict(j1=0), r"need 1 <= j1 <= j2, got \(0, 5\)"),
-    ])
-    def test_filter_and_octaves_checked_before_any_draw(self, overrides, message):
-        with pytest.raises(ValueError, match=message):
-            small_config(**overrides)
+    def test_filter_and_octaves_checked_before_any_draw(self):
+        # haar with 4 vanishing moments and j1 = 0 never reach the builder:
+        # resolve_config rejects them first (tests/test_cli.py)
+        with pytest.raises(ValueError,
+                           match="series length 4 too short for filter length 4; "
+                                 "need at least 8"):
+            small_config(n=4)
 
     def test_infeasible_octave_reports_last_feasible(self):
         # n = 1024 with a length-4 filter keeps 511, 254, ..., 6, 2 coefficients
@@ -275,17 +268,10 @@ class TestRunReplications:
 class TestSummarize:
     def test_identical_records_collapse(self):
         records = run_replications(small_config(replications=1)) * 5
-        out = summarize(records, kappa_grid=[0.5])
+        out = summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))
         assert out["replications"] == 5
         assert out["h"]["std"] == [0.0, 0.0]
         assert out["h"]["q05"] == out["h"]["q95"] == out["h"]["mean"]
-
-    def test_bias_only_with_truth(self):
-        records = run_replications(small_config(replications=3))
-        without = summarize(records, kappa_grid=[0.5])
-        assert "bias" not in without["h"]
-        with_truth = summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))
-        assert len(with_truth["h"]["bias"]) == 2
 
     def test_two_record_toy_by_hand(self):
         records = run_replications(small_config(replications=2))
@@ -299,7 +285,7 @@ class TestSummarize:
         records = run_replications(small_config(replications=3))
         import dataclasses
         flagged = dataclasses.replace(records[0], flagged=True)
-        out = summarize([flagged] + records[1:], kappa_grid=[0.5])
+        out = summarize([flagged] + records[1:], kappa_grid=[0.5], true_hurst=(0.4, 0.7))
         assert out["replications"] == 3
         assert out["flagged"] == 1
         h = np.array([rec.h_hat for rec in records[1:]])
@@ -311,4 +297,4 @@ class TestSummarize:
                    for rec in run_replications(small_config(replications=2))]
         with pytest.raises(ValueError, match="^every replication was flagged by "
                                              "synthesis diagnostics$"):
-            summarize(records, kappa_grid=[0.5])
+            summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))
