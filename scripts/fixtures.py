@@ -14,7 +14,7 @@ listings diff clean, e.g.
     python scripts/fixtures.py --out /tmp/b > b.txt
     diff a.txt b.txt
 
-The twenty-six runs take about 10 s on two cores. This is a tool for refactors that
+The twenty-eight runs take about 10 s on two cores. This is a tool for refactors that
 must keep every output byte; it is not part of the test suite.
 """
 from __future__ import annotations
@@ -79,6 +79,17 @@ ARMA_COMPONENTS = {
     "io": {"formats": ["csv", "binary"], "components": True},
 }
 
+# Haar filters, uniform regression weights, an explicit mixing matrix and
+# no noise, each reached by no other run: the rank-2 signal in p = 3 leaves
+# one eigenvalue near 1e-13 at every octave, flagged below the 1e-10 floor.
+NOISELESS_HAAR = {
+    "model": {"r": 2, "hurst": [0.35, 0.75],
+              "mixing": {"kind": "explicit", "matrix": [[0.6, 0.0], [0.8, 0.6], [0.0, 0.8]]},
+              "noise": {"kind": "none"}, "n": 1024, "p": 3},
+    "analysis": {"j1": 2, "j2": 6, "family": "haar", "weights": "uniform"},
+    "mc": {"replications": 12},
+}
+
 # One config per kind of schema rule, each rejected with exit 2: the listing
 # pins the bytes of the path and message it reports. p-before-octaves has p
 # below r and an infeasible octave range: model.p is reported, not the range.
@@ -98,6 +109,7 @@ CONFIGS = {
     "infeasible.json": INFEASIBLE,
     "ks-subsets.json": KS_SUBSETS,
     "arma-components.json": ARMA_COMPONENTS,
+    "noiseless-haar.json": NOISELESS_HAAR,
     **{f"rejected-{name}.json": doc for name, doc in REJECTED.items()},
 }
 
@@ -124,6 +136,8 @@ FIXTURES = {
     # three replications on four requested workers: the pool starts three
     "mc-floored-w4": ["mc", "--config", "floored.json", "--workers", "4"],
     "simulate-arma-components": ["simulate", "--config", "arma-components.json"],
+    "estimate-noiseless-haar": ["estimate", "--config", "noiseless-haar.json"],
+    "mc-noiseless-haar": ["mc", "--config", "noiseless-haar.json"],
     "simulate-clipped": ["simulate", "--config", "clipped.json"],
     "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
     "simulate-infeasible": ["simulate", "--config", "infeasible.json"],

@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
 
 
 def _read_series(path: str) -> MultivariateSeries:
-    reader = read_series_csv if path.endswith(".csv") else read_series_binary
+    reader = read_series_csv if path.lower().endswith(".csv") else read_series_binary
     try:
         return reader(path)
     except OSError as exc:

@@ -55,8 +55,6 @@ class RegressionWeights:
     """Slope weights w over octaves j1..j2: w sums to zero and has unit
     first moment over j."""
 
-    j1: int
-    j2: int
     w: np.ndarray
     scheme: str
 
@@ -67,35 +65,24 @@ def regression_weights(j1: int, j2: int, counts=None,
 
     Octave j gets weight b_j: the "uniform" scheme sets b_j = 1; the
     "count" scheme uses its coefficient count n_j, favoring the better
-    populated fine scales. A slope needs two octaves, so j1 < j2.
+    populated fine scales. The range and counts are those of a spectrum
+    over a range that check_octave_range accepted: j1 < j2 and n_j >= 1.
     """
-    if j1 >= j2:
-        raise ValueError(f"need j1 < j2 (a slope needs two octaves), got ({j1}, {j2})")
     js = np.arange(j1, j2 + 1, dtype=np.float64)
     if scheme == UNIFORM:
         counts = np.ones_like(js)
     elif scheme != COUNT_WEIGHTED:
         raise ValueError(f"unknown weight scheme {scheme!r}")
-    elif counts is None:
-        raise ValueError("count-weighted scheme requires per-octave counts")
     b = np.asarray(counts, dtype=np.float64)
-    if b.shape != js.shape:
-        raise ValueError(f"need {js.size} counts for octaves {j1}..{j2}, got {b.shape}")
-    if np.any(b <= 0):
-        raise ValueError(f"counts must be positive, got {b}")
     s0, s1, s2 = b.sum(), (b * js).sum(), (b * js * js).sum()
-    return RegressionWeights(j1, j2, b * (s0 * js - s1) / (s0 * s2 - s1 * s1), scheme)
+    return RegressionWeights(b * (s0 * js - s1) / (s0 * s2 - s1 * s1), scheme)
 
 
 def _slopes(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
     """Per-index weighted slope of log2 eigenvalues over the octaves, NaN
     where the index is flagged at any octave (rank-deficient or mixed-rank
-    directions) rather than a number built from floored values."""
-    if (spectrum.j1, spectrum.j2) != (weights.j1, weights.j2):
-        raise ValueError(
-            f"spectrum covers octaves {spectrum.j1}..{spectrum.j2}, "
-            f"weights cover {weights.j1}..{weights.j2}"
-        )
+    directions) rather than a number built from floored values. Both
+    cover the same octaves."""
     flags = spectrum.zero_flags
     slope = (weights.w[:, None] * np.where(flags, 0.0, spectrum.log2_eigenvalues)).sum(axis=0)
     return np.where(flags.any(axis=0), np.nan, slope)
@@ -143,16 +130,13 @@ def effective_dimension(diagnostic: np.ndarray, kappa: float) -> int:
 def kappa_sweep(diagnostic_samples, kappa_grid, true_r: int):
     """Effective-dimension summary over a threshold grid.
 
-    diagnostic_samples is an (M, p) array of per-replication diagnostics.
-    Returns a list of rows (kappa, mean, q05, q95, exact) where exact
-    flags grid points whose mean equals the true dimension exactly.
+    diagnostic_samples is an (M, p) array of per-replication diagnostics
+    with M >= 1, and the grid is not empty. Returns a list of rows (kappa,
+    mean, q05, q95, exact) where exact flags grid points whose mean equals
+    the true dimension exactly.
     """
     samples = np.asarray(diagnostic_samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ValueError(f"need an (M, p) sample array, got shape {samples.shape}")
     grid = np.asarray(kappa_grid, dtype=np.float64)
-    if grid.size < 1:
-        raise ValueError("kappa grid is empty")
     # (M, K) counts, built one threshold at a time to hold M x p, not M x p x K
     counts = np.stack([(samples > kappa).sum(axis=1) for kappa in grid], axis=1)
     means = counts.mean(axis=0)

@@ -121,14 +121,10 @@ def run_replications(config: McConfig, workers: int = 1):
 
 def mahalanobis_sq(samples) -> np.ndarray:
     """Sorted squared Mahalanobis distances to the sample mean, under the
-    sample covariance. Requires more samples than dimensions and a
-    well-conditioned covariance."""
+    sample covariance, which must be well conditioned: M <= r samples give
+    a singular one."""
     x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"need an (M, r) sample matrix, got shape {x.shape}")
-    m, r = x.shape
-    if m <= r:
-        raise ValueError(f"need more samples than dimensions, got M={m}, r={r}")
+    m = x.shape[0]
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (m - 1)
     cond = np.linalg.cond(cov)

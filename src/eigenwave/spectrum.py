@@ -27,12 +27,10 @@ class WaveletCovariance:
 def wavelet_covariance(j: int, details: np.ndarray) -> WaveletCovariance:
     """Average outer product of the detail vectors at octave j.
 
-    details is a p x n_j matrix of coefficients; exact symmetry of the
-    result is enforced by averaging with the transpose.
+    details is a p x n_j matrix of coefficients with n_j >= 1; exact
+    symmetry of the result is enforced by averaging with the transpose.
     """
     details = np.asarray(details, dtype=np.float64)
-    if details.ndim != 2 or details.shape[1] < 1:
-        raise ValueError(f"details must be a p x n_j matrix with n_j >= 1, got {details.shape}")
     n_j = details.shape[1]
     m = details @ details.T / n_j
     m = (m + m.T) / 2.0
@@ -66,20 +64,12 @@ def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEi
     if floor <= 0.0:
         raise ValueError(f"floor must be positive, got {floor}")
     covs = list(covariances)
-    if not covs:
-        raise ValueError("need at least one covariance")
-    js = [c.j for c in covs]
-    if js != list(range(js[0], js[0] + len(js))):
-        raise ValueError(f"octaves must be consecutive, got {js}")
-    p = covs[0].matrix.shape[0]
-    lam = np.empty((len(covs), p))
-    for i, cov in enumerate(covs):
-        lam[i] = np.linalg.eigh(cov.matrix)[0]
+    lam = np.linalg.eigh(np.stack([c.matrix for c in covs]))[0]
     flags = lam < floor
     with np.errstate(divide="ignore", invalid="ignore"):
         log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
     return LogEigenSpectrum(
-        j1=js[0], j2=js[-1], counts=tuple(c.n_j for c in covs),
+        j1=covs[0].j, j2=covs[-1].j, counts=tuple(c.n_j for c in covs),
         eigenvalues=lam, log2_eigenvalues=log2lam, zero_flags=flags,
     )
 

@@ -545,6 +545,19 @@ class TestEstimateData:
             outs.append([(out / name).read_bytes() for name in ("estimate.json", "estimate.csv")])
         assert outs[0] == outs[1]
 
+    def test_upper_case_csv_suffix_reads_as_csv(self, tmp_path, capsys, series_path):
+        lower = series_path.with_suffix(".csv")
+        upper = tmp_path / "Y.CSV"
+        upper.write_bytes(lower.read_bytes())
+        outs = []
+        for name, data in (("lower", lower), ("upper", upper)):
+            out = tmp_path / name
+            code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),
+                                "--data", str(data), "--out", str(out)], capsys)
+            assert code == 0, err
+            outs.append([(out / f).read_bytes() for f in ("estimate.json", "estimate.csv")])
+        assert outs[0] == outs[1]
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),

@@ -12,8 +12,8 @@ from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, OctaveRangeError,
                                   write_result_csv, result_to_json)
 from eigenwave.simulate import (OfBmSpec, cumulative_path,
                                 synthesize_ofbm_increments)
-from eigenwave.spectrum import LogEigenSpectrum
-from eigenwave.wavelets import make_filter_bank, pyramid_transform
+from eigenwave.spectrum import LogEigenSpectrum, log_eigen_spectrum
+from eigenwave.wavelets import make_filter_bank, pyramid_transform, valid_count
 from oracles import kappa_sweep_reference, scaling_diagnostic_reference
 
 
@@ -49,13 +49,6 @@ class TestRegressionWeights:
         wts = regression_weights(1, 3, scheme=UNIFORM)
         np.testing.assert_allclose(wts.w, [-0.5, 0.0, 0.5], atol=1e-15)
 
-    def test_single_octave(self):
-        # a slope needs two octaves
-        for j1, j2 in [(5, 5), (6, 5)]:
-            for scheme, kw in ((UNIFORM, {}), (COUNT_WEIGHTED, {"counts": [64]})):
-                with pytest.raises(ValueError, match="two octaves"):
-                    regression_weights(j1, j2, scheme=scheme, **kw)
-
     def test_count_weighted_equals_uniform_for_equal_counts(self):
         for j1, j2 in [(1, 4), (3, 9), (2, 3)]:
             uni = regression_weights(j1, j2, scheme=UNIFORM)
@@ -76,10 +69,6 @@ class TestRegressionWeights:
                     regression_weights(j1, j2, counts=counts, scheme=COUNT_WEIGHTED)):
             assert abs(wts.w.sum()) < 1e-12
             assert abs((js * wts.w).sum() - 1.0) < 1e-12
-
-    def test_count_scheme_requires_counts(self):
-        with pytest.raises(ValueError, match="counts"):
-            regression_weights(1, 3, scheme=COUNT_WEIGHTED)
 
 
 class TestScalingExponents:
@@ -115,12 +104,6 @@ class TestScalingExponents:
         base = scaling_exponents(spectrum_from_lambdas(lam), wts)
         scaled = scaling_exponents(spectrum_from_lambdas(97.0 * lam), wts)
         np.testing.assert_allclose(scaled, base, atol=1e-12)
-
-    def test_octave_mismatch_rejected(self):
-        spec = spectrum_from_lambdas([[1.0], [2.0]], j1=1)
-        wts = regression_weights(2, 3, scheme=UNIFORM)
-        with pytest.raises(ValueError, match="octaves"):
-            scaling_exponents(spec, wts)
 
 
 class TestHurstExponents:
@@ -265,12 +248,6 @@ class TestKappaSweep:
         assert [tuple(map(type, row)) for row in rows] == [
             tuple(map(type, row)) for row in expected]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kappa_sweep(np.empty((0, 2)), [0.5], true_r=1)
-        with pytest.raises(ValueError):
-            kappa_sweep([[1.0]], [], true_r=1)
-
 
 class TestEstimateSeries:
     def _series(self, h=0.7, n=4096, seed=0):
@@ -305,8 +282,14 @@ class TestEstimateSeries:
             estimate_series(series, fp, 2, 10 ** 9)
         assert huge.value.last_feasible == err.value.last_feasible
 
-    @pytest.mark.parametrize("j1, j2", [(5, 5), (6, 5), (0, 5)])
-    def test_octave_range_rejected_before_the_pyramid(self, monkeypatch, j1, j2):
+    @pytest.mark.parametrize("n, j1, j2, message", [
+        *((1024, j1, j2, rf"need 1 <= j1 < j2 \(a slope needs two octaves\), got "
+                         rf"\({j1}, {j2}\)") for j1, j2 in [(5, 5), (6, 5), (0, 5)]),
+        (4, 1, 2, "series length 4 too short for filter length 4; need at least 8"),
+        (1024, 3, 9, "octave 9 infeasible for series length 1024 with filter length 4; "
+                     "last feasible octave is 8"),
+    ], ids=["5-5", "6-5", "0-5", "short-series", "past-the-last-octave"])
+    def test_octave_range_rejected_before_the_pyramid(self, monkeypatch, n, j1, j2, message):
         calls = []
 
         def spy(*args, **kwargs):
@@ -315,10 +298,35 @@ class TestEstimateSeries:
 
         monkeypatch.setattr(estimators, "pyramid_transform", spy)
         fp = make_filter_bank("daubechies", 2)
-        with pytest.raises(ValueError, match=rf"need 1 <= j1 < j2 \(a slope needs two "
-                                             rf"octaves\), got \({j1}, {j2}\)"):
-            estimate_series(self._series(n=1024), fp, j1, j2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_series(self._series(n=n), fp, j1, j2)
         assert calls == []
+
+    @pytest.mark.parametrize("scheme", [UNIFORM, COUNT_WEIGHTED])
+    def test_stages_get_the_checked_range(self, monkeypatch, scheme):
+        # the spectrum and the weights trust their inputs: consecutive
+        # octaves j1..j2, each with coefficients, and the spectrum's counts
+        seen = {}
+
+        def spectrum_spy(covs, floor):
+            seen["spectrum"] = log_eigen_spectrum(covs, floor=floor)
+            seen["octaves"] = [c.j for c in covs]
+            return seen["spectrum"]
+
+        def weights_spy(j1, j2, counts, scheme):
+            seen["weights"] = (j1, j2, counts, scheme)
+            return regression_weights(j1, j2, counts=counts, scheme=scheme)
+
+        monkeypatch.setattr(estimators, "log_eigen_spectrum", spectrum_spy)
+        monkeypatch.setattr(estimators, "regression_weights", weights_spy)
+        # n = 1024 with a length-4 filter keeps 6 and 2 coefficients at octaves 7 and 8
+        series = self._series(n=1024)
+        estimate_series(series, make_filter_bank("daubechies", 2), 5, 8, scheme=scheme)
+        spectrum = seen["spectrum"]
+        assert seen["octaves"] == [5, 6, 7, 8]
+        assert spectrum.counts == tuple(valid_count(1024, j, 4) for j in range(5, 9))
+        assert min(spectrum.counts) == 2
+        assert seen["weights"] == (5, 8, spectrum.counts, scheme)
 
     def test_r_override_vs_estimated(self):
         series = self._series(h=0.8, n=2 ** 13, seed=33)

@@ -86,7 +86,8 @@ class TestMahalanobis:
             mahalanobis_sq(x)
 
     def test_more_samples_than_dims_required(self):
-        with pytest.raises(ValueError, match="more samples"):
+        # M <= r centred samples span at most M - 1 < r dimensions
+        with pytest.raises(ValueError, match="singular"):
             mahalanobis_sq(np.eye(3))
 
 
@@ -290,6 +291,10 @@ class TestSummarize:
         assert out["flagged"] == 1
         h = np.array([rec.h_hat for rec in records[1:]])
         assert out["h"]["mean"] == pytest.approx(list(h.mean(axis=0)))
+
+    def test_empty_study_fails(self):
+        with pytest.raises(ValueError, match="^no records to summarize$"):
+            summarize([], kappa_grid=[0.5], true_hurst=(0.4, 0.7))
 
     def test_all_flagged_fails(self):
         import dataclasses

@@ -1,10 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigenwave.config import build_mc_config, preset_config, resolve_config
+from eigenwave.montecarlo import draw_observation
 from eigenwave.spectrum import WaveletCovariance, log_eigen_spectrum, wavelet_covariance
 from eigenwave.series import MultivariateSeries
 from eigenwave.wavelets import make_filter_bank, pyramid_transform
 from oracles import jacobi_eigen
+
+ARMA_WIDE = Path(__file__).resolve().parent.parent / "perfbench/workloads/arma-wide.json"
 
 
 class TestWaveletCovariance:
@@ -21,10 +30,6 @@ class TestWaveletCovariance:
         cov = wavelet_covariance(1, np.array([[1.0], [1.0]]))
         np.testing.assert_allclose(cov.matrix, [[1.0, 1.0], [1.0, 1.0]])
         assert np.linalg.matrix_rank(cov.matrix) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            wavelet_covariance(1, np.zeros((2, 0)))
 
     def test_exact_symmetry(self):
         # the only symmetry guarantee the eigensolver gets: wide, tall, scalar
@@ -44,8 +49,8 @@ class TestWaveletCovariance:
 
 
 class TestSymEigen:
-    """np.linalg.eigh, the solver log_eigen_spectrum calls on each octave's
-    covariance: ascending eigenvalues and orthonormal eigenvectors."""
+    """np.linalg.eigh, the solver log_eigen_spectrum calls on the stack of
+    octave covariances: ascending eigenvalues and orthonormal eigenvectors."""
 
     @staticmethod
     def sym_eigen(m):
@@ -138,12 +143,6 @@ class TestLogEigenSpectrum:
         spec = log_eigen_spectrum([cov])
         assert spec.zero_flags[0].sum() >= 4
 
-    def test_nonconsecutive_octaves_rejected(self):
-        rng = np.random.default_rng(6)
-        covs = [wavelet_covariance(j, rng.standard_normal((2, 9))) for j in (1, 3)]
-        with pytest.raises(ValueError, match="consecutive"):
-            log_eigen_spectrum(covs)
-
     def test_positive_floor_required(self):
         cov = wavelet_covariance(1, np.ones((1, 4)))
         with pytest.raises(ValueError, match="floor"):
@@ -156,3 +155,38 @@ class TestLogEigenSpectrum:
         spec = log_eigen_spectrum([wavelet_covariance(j, pyr.detail(j)) for j in (2, 3, 4)])
         assert (spec.j1, spec.j2) == (2, 4)
         assert spec.counts == tuple(pyr.counts[j] for j in (2, 3, 4))
+
+
+def replication_covariances(doc, index):
+    """The octave covariances of replication `index` of a study config."""
+    config = build_mc_config(resolve_config(doc))
+    series = draw_observation(config, index)[0]
+    pyr = pyramid_transform(series, make_filter_bank(config.family, config.n_vanishing),
+                            config.j2, j_min=config.j1)
+    return [wavelet_covariance(j, pyr.detail(j)) for j in range(config.j1, config.j2 + 1)]
+
+
+def assert_batched_eigh_is_per_octave(covs):
+    per_octave = np.stack([np.linalg.eigh(c.matrix)[0] for c in covs])
+    batched = log_eigen_spectrum(covs).eigenvalues
+    assert batched.tobytes() == per_octave.tobytes()
+
+
+class TestBatchedEigh:
+    """One eigh over the (octaves, p, p) stack gives the bits of one eigh per
+    octave; the fixtures' byte-identical outputs rest on this."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig4", "arma-wide"])
+    def test_study_replications(self, name):
+        doc = json.loads(ARMA_WIDE.read_text()) if name == "arma-wide" else preset_config(name)
+        for index in range(2):
+            assert_batched_eigh_is_per_octave(replication_covariances(doc, index))
+
+    @given(p=st.integers(1, 96), octaves=st.integers(2, 6), seed=st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_stacks(self, p, octaves, seed):
+        # coefficient counts below and above p: rank-deficient and full-rank octaves
+        rng = np.random.default_rng(seed)
+        covs = [wavelet_covariance(j, rng.standard_normal((p, int(rng.integers(1, 3 * p + 2)))))
+                for j in range(1, octaves + 1)]
+        assert_batched_eigh_is_per_octave(covs)
