@@ -5,10 +5,11 @@
 Each fixture is one `python -m eigenwave.cli` run in a subprocess with
 PYTHONPATH=PATH (default: the `src/` of this checkout), working directory
 DIR and a relative `--out NAME`, so `effective_config.json` does not depend
-on where DIR is. DIR must be empty or absent. The script prints one sorted
-`sha256  NAME/FILE` line per output file and one `sha256  NAME stderr, exit
-CODE` line per run. Two sources behave alike on the fixtures when their
-listings diff clean, e.g.
+on where DIR is. DIR must be empty or absent, and PATH must hold the
+`eigenwave` package, or the runs would import an installed one instead.
+The script prints one sorted `sha256  NAME/FILE` line per output file and
+one `sha256  NAME stderr, exit CODE` line per run. Two sources behave alike
+on the fixtures when their listings diff clean, e.g.
 
     python scripts/fixtures.py --out /tmp/a --src old/src > a.txt
     python scripts/fixtures.py --out /tmp/b > b.txt
@@ -158,6 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", metavar="PATH",
                         help="directory holding the eigenwave package (default: ./src)")
     args = parser.parse_args(argv)
+    if not (args.src / "eigenwave" / "__init__.py").is_file():
+        parser.error(f"no eigenwave package under {args.src}")
     if args.out.exists() and any(args.out.iterdir()):
         parser.error(f"{args.out} is not empty")
     args.out.mkdir(parents=True, exist_ok=True)

@@ -50,23 +50,16 @@ def check_octave_range(n: int, j1: int, j2: int, filter_length: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RegressionWeights:
-    """Slope weights w over octaves j1..j2: w sums to zero and has unit
-    first moment over j."""
+def regression_weights(j1: int, j2: int, counts,
+                       scheme: str = COUNT_WEIGHTED) -> np.ndarray:
+    """Weighted least-squares slope weights w over the octave range j1..j2:
+    w sums to zero and has unit first moment over j.
 
-    w: np.ndarray
-    scheme: str
-
-
-def regression_weights(j1: int, j2: int, counts=None,
-                       scheme: str = COUNT_WEIGHTED) -> RegressionWeights:
-    """Weighted least-squares slope weights over the octave range j1..j2.
-
-    Octave j gets weight b_j: the "uniform" scheme sets b_j = 1; the
-    "count" scheme uses its coefficient count n_j, favoring the better
-    populated fine scales. The range and counts are those of a spectrum
-    over a range that check_octave_range accepted: j1 < j2 and n_j >= 1.
+    Octave j gets weight b_j: the "uniform" scheme sets b_j = 1 whatever
+    the counts; the "count" scheme uses its coefficient count n_j, favoring
+    the better populated fine scales. The range and counts are those of a
+    spectrum over a range that check_octave_range accepted: j1 < j2 and
+    n_j >= 1.
     """
     js = np.arange(j1, j2 + 1, dtype=np.float64)
     if scheme == UNIFORM:
@@ -75,20 +68,20 @@ def regression_weights(j1: int, j2: int, counts=None,
         raise ValueError(f"unknown weight scheme {scheme!r}")
     b = np.asarray(counts, dtype=np.float64)
     s0, s1, s2 = b.sum(), (b * js).sum(), (b * js * js).sum()
-    return RegressionWeights(b * (s0 * js - s1) / (s0 * s2 - s1 * s1), scheme)
+    return b * (s0 * js - s1) / (s0 * s2 - s1 * s1)
 
 
-def _slopes(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
+def _slopes(spectrum: LogEigenSpectrum, weights: np.ndarray) -> np.ndarray:
     """Per-index weighted slope of log2 eigenvalues over the octaves, NaN
     where the index is flagged at any octave (rank-deficient or mixed-rank
     directions) rather than a number built from floored values. Both
     cover the same octaves."""
     flags = spectrum.zero_flags
-    slope = (weights.w[:, None] * np.where(flags, 0.0, spectrum.log2_eigenvalues)).sum(axis=0)
+    slope = (weights[:, None] * np.where(flags, 0.0, spectrum.log2_eigenvalues)).sum(axis=0)
     return np.where(flags.any(axis=0), np.nan, slope)
 
 
-def scaling_exponents(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
+def scaling_exponents(spectrum: LogEigenSpectrum, weights: np.ndarray) -> np.ndarray:
     """Per-index exponent estimates ell_hat = (S - 1)/2, NaN where flagged."""
     return 0.5 * (_slopes(spectrum, weights) - 1.0)
 
@@ -109,7 +102,7 @@ def hurst_exponents(ell: np.ndarray, r: int) -> np.ndarray:
     return top.copy()
 
 
-def scaling_diagnostic(spectrum: LogEigenSpectrum, weights: RegressionWeights) -> np.ndarray:
+def scaling_diagnostic(spectrum: LogEigenSpectrum, weights: np.ndarray) -> np.ndarray:
     """Per-index diagnostic delta = S = 2 ell_hat + 1, the log-eigenvalue slope.
 
     Approaches 2h+1 along scaling directions and 0 along noise directions.
@@ -151,7 +144,8 @@ class EstimationResult:
 
     ell_hat has length p with NaN at flagged indices; delta mirrors it
     with -inf; h_hat holds the top r entries for the dimension actually
-    used (supplied or estimated).
+    used (supplied or estimated); weights are the slope weights of the
+    named scheme over the octaves.
     """
 
     ell_hat: np.ndarray
@@ -160,7 +154,8 @@ class EstimationResult:
     r_hat: int
     kappa: float
     octaves: tuple
-    weights: RegressionWeights
+    scheme: str
+    weights: np.ndarray
 
     @property
     def p(self) -> int:
@@ -188,7 +183,8 @@ def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
     r_est = effective_dimension(diag, kappa)
     h = hurst_exponents(ell, r if r is not None else r_est)
     return EstimationResult(ell_hat=ell, h_hat=h, delta=diag, r_hat=r_est,
-                            kappa=kappa, octaves=(j1, j2), weights=weights)
+                            kappa=kappa, octaves=(j1, j2), scheme=scheme,
+                            weights=weights)
 
 
 def write_result_csv(result: EstimationResult, path) -> None:
@@ -203,8 +199,8 @@ def result_to_json(result: EstimationResult) -> dict:
     return {
         "octaves": list(result.octaves),
         "weights": {
-            "scheme": result.weights.scheme,
-            "w": [float(x) for x in result.weights.w],
+            "scheme": result.scheme,
+            "w": [float(x) for x in result.weights],
         },
         "r_hat": result.r_hat,
         "kappa": result.kappa,

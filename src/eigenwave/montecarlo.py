@@ -17,9 +17,8 @@ import numpy as np
 
 from .estimators import estimate_series, kappa_sweep
 from .series import write_csv, write_json
-from .simulate import (CLIP_ENERGY_TOL, MixingSpec, NoiseSpec, OfBmSpec,
-                       assemble_observations, cumulative_path,
-                       make_mixing_matrix, synthesize_noise,
+from .simulate import (MixingSpec, NoiseSpec, OfBmSpec, assemble_observations,
+                       cumulative_path, make_mixing_matrix, synthesize_noise,
                        synthesize_ofbm_increments)
 from .special import chi2_cdf, chi2_quantile
 from .wavelets import make_filter_bank
@@ -97,7 +96,7 @@ def _replicate(config: McConfig, index: int) -> ReplicationRecord:
         h_hat=tuple(float(x) for x in est.h_hat),
         delta=tuple(float(x) for x in est.delta),
         r_hat=est.r_hat,
-        flagged=diagnostics.clipped_energy > CLIP_ENERGY_TOL,
+        flagged=diagnostics.warning is not None,
         clipped_energy=diagnostics.clipped_energy,
     )
 
@@ -141,8 +140,6 @@ def mahalanobis_sq(samples) -> np.ndarray:
 def _ks_decision(cdf: np.ndarray):
     """KS statistic and 5% decision from the model CDF at a sorted sample."""
     m = cdf.size
-    if m < 1:
-        raise ValueError("empty sample")
     i = np.arange(1, m + 1)
     stat = float(np.max(np.maximum(i / m - cdf, cdf - (i - 1) / m)))
     return stat, stat > ks_critical(m)

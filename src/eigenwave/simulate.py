@@ -320,8 +320,6 @@ def _arma_filter(eps: np.ndarray, ar: tuple, ma: tuple) -> None:
 
 def synthesize_noise(spec: NoiseSpec, p: int, n: int, seed) -> MultivariateSeries:
     """Draw p independent noise rows of length n."""
-    if p < 1 or n < 1:
-        raise ValueError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
     if spec.kind == "none":
         return MultivariateSeries(np.zeros((p, n)))
     rng = _rng(seed)
@@ -337,15 +335,6 @@ def synthesize_noise(spec: NoiseSpec, p: int, n: int, seed) -> MultivariateSerie
 def assemble_observations(mixing: np.ndarray, latent: MultivariateSeries,
                           noise: MultivariateSeries) -> MultivariateSeries:
     """Combine latent signal and noise: Y = P X + Z."""
-    mixing = np.asarray(mixing, dtype=np.float64)
-    p, r = mixing.shape
-    if latent.p != r:
-        raise ValueError(f"mixing expects {r} latent rows, series has {latent.p}")
-    if noise.p != p or noise.n != latent.n:
-        raise ValueError(
-            f"noise shape {(noise.p, noise.n)} does not match "
-            f"output shape {(p, latent.n)}"
-        )
     # The same bits as mixing @ X + Z; Z is left as it is, since callers
     # return and write it beside Y.
     y = mixing @ latent.values

@@ -27,14 +27,12 @@ class WaveletCovariance:
 def wavelet_covariance(j: int, details: np.ndarray) -> WaveletCovariance:
     """Average outer product of the detail vectors at octave j.
 
-    details is a p x n_j matrix of coefficients with n_j >= 1; exact
-    symmetry of the result is enforced by averaging with the transpose.
+    details is a p x n_j float array of coefficients with n_j >= 1. numpy
+    forms details @ details.T as one symmetric product, so the result is
+    symmetric bit for bit.
     """
-    details = np.asarray(details, dtype=np.float64)
     n_j = details.shape[1]
-    m = details @ details.T / n_j
-    m = (m + m.T) / 2.0
-    return WaveletCovariance(j=j, n_j=n_j, matrix=m)
+    return WaveletCovariance(j=j, n_j=n_j, matrix=details @ details.T / n_j)
 
 
 @dataclass(frozen=True)
@@ -45,8 +43,6 @@ class LogEigenSpectrum:
     (octave count, p); log2 entries are NaN exactly where flagged.
     """
 
-    j1: int
-    j2: int
     counts: tuple
     eigenvalues: np.ndarray
     log2_eigenvalues: np.ndarray
@@ -69,7 +65,7 @@ def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEi
     with np.errstate(divide="ignore", invalid="ignore"):
         log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
     return LogEigenSpectrum(
-        j1=covs[0].j, j2=covs[-1].j, counts=tuple(c.n_j for c in covs),
-        eigenvalues=lam, log2_eigenvalues=log2lam, zero_flags=flags,
+        counts=tuple(c.n_j for c in covs), eigenvalues=lam,
+        log2_eigenvalues=log2lam, zero_flags=flags,
     )
 

@@ -148,13 +148,13 @@ def analysis_step_reference(a, low, high):
     return approx, detail
 
 
-def scaling_diagnostic_reference(spectrum, scheme):
+def scaling_diagnostic_reference(spectrum, j1, scheme):
     """The diagnostic delta as computed before it was the exponent slope:
     the old slope weights w (the centered formula for "uniform", the count
     formula for "count"), the diagnostic weights v_j = j * w_j, then
-    sum_j v_j log2 lambda_j / j, with -inf at flagged indices."""
-    j1, j2 = spectrum.j1, spectrum.j2
-    js = np.arange(j1, j2 + 1, dtype=np.float64)
+    sum_j v_j log2 lambda_j / j, with -inf at flagged indices. The spectrum
+    covers octaves j1, j1 + 1, ..., one per row."""
+    js = np.arange(j1, j1 + len(spectrum.counts), dtype=np.float64)
     if scheme == "uniform":
         centered = js - js.mean()
         w = centered / (centered ** 2).sum()

@@ -34,12 +34,11 @@ def test_criterion_01_weight_identities():
         for j2 in range(j1 + 1, 13):
             js = np.arange(j1, j2 + 1)
             counts = [valid_count(2 ** 20, int(j), 4) for j in js]
-            for wts in (regression_weights(j1, j2, scheme=UNIFORM),
-                        regression_weights(j1, j2, counts=counts,
-                                           scheme=COUNT_WEIGHTED)):
+            for scheme in (UNIFORM, COUNT_WEIGHTED):
+                wts = regression_weights(j1, j2, counts=counts, scheme=scheme)
                 worst = max(worst,
-                            abs(wts.w.sum()),
-                            abs((js * wts.w).sum() - 1.0))
+                            abs(wts.sum()),
+                            abs((js * wts).sum() - 1.0))
     report(1, "weight identities", worst < 1e-12,
            f"max identity error {worst:.3e} over all ranges and both schemes (tol 1e-12)")
 
@@ -94,12 +93,12 @@ def test_criterion_04_power_law_recovery_exact():
         lam = np.array([[2.0 ** (j * (2 * h + 1))] for j in js])
         with np.errstate(divide="ignore"):
             log2 = np.log2(lam)
-        spec = LogEigenSpectrum(j1=j1, j2=j2, counts=tuple([64] * js.size),
+        spec = LogEigenSpectrum(counts=tuple([64] * js.size),
                                 eigenvalues=lam, log2_eigenvalues=log2,
                                 zero_flags=np.zeros_like(lam, dtype=bool))
-        for scheme, kw in ((UNIFORM, {}),
-                           (COUNT_WEIGHTED, {"counts": [512, 256, 128, 64, 32, 16]})):
-            wts = regression_weights(j1, j2, scheme=scheme, **kw)
+        for scheme in (UNIFORM, COUNT_WEIGHTED):
+            wts = regression_weights(j1, j2, counts=[512, 256, 128, 64, 32, 16],
+                                     scheme=scheme)
             ell = scaling_exponents(spec, wts)[0]
             diag = scaling_diagnostic(spec, wts)[0]
             worst_ell = max(worst_ell, abs(ell - h))

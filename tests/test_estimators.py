@@ -17,7 +17,7 @@ from eigenwave.wavelets import make_filter_bank, pyramid_transform, valid_count
 from oracles import kappa_sweep_reference, scaling_diagnostic_reference
 
 
-def spectrum_from_lambdas(lambdas, j1=1, floor=1e-10, counts=None):
+def spectrum_from_lambdas(lambdas, floor=1e-10, counts=None):
     """LogEigenSpectrum directly from an (octaves, p) eigenvalue table."""
     lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
     m, p = lam.shape
@@ -26,18 +26,17 @@ def spectrum_from_lambdas(lambdas, j1=1, floor=1e-10, counts=None):
         log2 = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
     if counts is None:
         counts = tuple(64 for _ in range(m))
-    return LogEigenSpectrum(j1=j1, j2=j1 + m - 1, counts=tuple(counts),
-                            eigenvalues=lam, log2_eigenvalues=log2,
-                            zero_flags=flags)
+    return LogEigenSpectrum(counts=tuple(counts), eigenvalues=lam,
+                            log2_eigenvalues=log2, zero_flags=flags)
 
 
-def random_spectrum(seed, j1, octaves, p=12):
+def random_spectrum(seed, octaves, p=12):
     """A spectrum with log2 eigenvalues in [-30, 40], about 5% of them zero
     (flagged), and random positive per-octave counts."""
     rng = np.random.default_rng(seed)
     lam = 2.0 ** rng.uniform(-30.0, 40.0, size=(octaves, p))
     lam[rng.random(lam.shape) < 0.05] = 0.0
-    return spectrum_from_lambdas(lam, j1=j1, counts=rng.integers(1, 100_000, size=octaves))
+    return spectrum_from_lambdas(lam, counts=rng.integers(1, 100_000, size=octaves))
 
 
 SPECTRA = dict(j1=st.integers(1, 8), octaves=st.integers(2, 12), seed=st.integers(0, 2 ** 31))
@@ -46,15 +45,20 @@ SPECTRA = dict(j1=st.integers(1, 8), octaves=st.integers(2, 12), seed=st.integer
 class TestRegressionWeights:
     def test_uniform_three_octaves(self):
         # solving the 2x2 normal equations by hand for j = 1, 2, 3
-        wts = regression_weights(1, 3, scheme=UNIFORM)
-        np.testing.assert_allclose(wts.w, [-0.5, 0.0, 0.5], atol=1e-15)
+        wts = regression_weights(1, 3, counts=[9, 5, 1], scheme=UNIFORM)
+        np.testing.assert_allclose(wts, [-0.5, 0.0, 0.5], atol=1e-15)
+
+    def test_counts_are_required(self):
+        # without counts the count scheme would weight every octave by NaN
+        with pytest.raises(TypeError, match="counts"):
+            regression_weights(1, 3)
 
     def test_count_weighted_equals_uniform_for_equal_counts(self):
         for j1, j2 in [(1, 4), (3, 9), (2, 3)]:
-            uni = regression_weights(j1, j2, scheme=UNIFORM)
-            cnt = regression_weights(j1, j2, counts=[100] * (j2 - j1 + 1),
-                                     scheme=COUNT_WEIGHTED)
-            np.testing.assert_allclose(cnt.w, uni.w, atol=1e-12)
+            counts = [100] * (j2 - j1 + 1)
+            uni = regression_weights(j1, j2, counts=counts, scheme=UNIFORM)
+            cnt = regression_weights(j1, j2, counts=counts, scheme=COUNT_WEIGHTED)
+            np.testing.assert_allclose(cnt, uni, atol=1e-12)
 
     @given(j1=st.integers(1, 11), width=st.integers(1, 11),
            seed=st.integers(0, 2 ** 31))
@@ -65,10 +69,10 @@ class TestRegressionWeights:
             return
         js = np.arange(j1, j2 + 1)
         counts = np.random.default_rng(seed).integers(1, 10_000, size=js.size)
-        for wts in (regression_weights(j1, j2, scheme=UNIFORM),
-                    regression_weights(j1, j2, counts=counts, scheme=COUNT_WEIGHTED)):
-            assert abs(wts.w.sum()) < 1e-12
-            assert abs((js * wts.w).sum() - 1.0) < 1e-12
+        for scheme in (UNIFORM, COUNT_WEIGHTED):
+            wts = regression_weights(j1, j2, counts=counts, scheme=scheme)
+            assert abs(wts.sum()) < 1e-12
+            assert abs((js * wts).sum() - 1.0) < 1e-12
 
 
 class TestScalingExponents:
@@ -78,29 +82,29 @@ class TestScalingExponents:
         h, xi = 0.35, 2.7
         js = np.arange(2, 7)
         lam = np.array([[xi * 2.0 ** (j * (2 * h + 1))] for j in js])
-        spec = spectrum_from_lambdas(lam, j1=2)
         counts = (500, 250, 125, 60, 30)
-        for scheme, kw in ((UNIFORM, {}), (COUNT_WEIGHTED, {"counts": counts})):
-            wts = regression_weights(2, 6, scheme=scheme, **kw)
-            ell = scaling_exponents(spectrum_from_lambdas(lam, j1=2, counts=counts), wts)
+        spec = spectrum_from_lambdas(lam, counts=counts)
+        for scheme in (UNIFORM, COUNT_WEIGHTED):
+            wts = regression_weights(2, 6, counts=counts, scheme=scheme)
+            ell = scaling_exponents(spec, wts)
             assert abs(ell[0] - h) < 1e-12
 
     def test_flagged_index_undefined(self):
-        spec = spectrum_from_lambdas([[1e-14, 4.0], [1e-14, 8.0]], j1=1)
-        wts = regression_weights(1, 2, scheme=UNIFORM)
+        spec = spectrum_from_lambdas([[1e-14, 4.0], [1e-14, 8.0]])
+        wts = regression_weights(1, 2, counts=spec.counts, scheme=UNIFORM)
         ell = scaling_exponents(spec, wts)
         assert np.isnan(ell[0]) and not np.isnan(ell[1])
 
     def test_mixed_rank_index_undefined(self):
         # flagged at one octave only -> undefined, never extrapolated
-        spec = spectrum_from_lambdas([[1e-14, 4.0], [2.0, 8.0]], j1=1)
-        wts = regression_weights(1, 2, scheme=UNIFORM)
+        spec = spectrum_from_lambdas([[1e-14, 4.0], [2.0, 8.0]])
+        wts = regression_weights(1, 2, counts=spec.counts, scheme=UNIFORM)
         assert np.isnan(scaling_exponents(spec, wts)[0])
 
     def test_scale_shift_equivariance(self):
         rng = np.random.default_rng(8)
         lam = rng.uniform(0.5, 4.0, size=(3, 5))
-        wts = regression_weights(1, 3, scheme=UNIFORM)
+        wts = regression_weights(1, 3, counts=[64] * 3, scheme=UNIFORM)
         base = scaling_exponents(spectrum_from_lambdas(lam), wts)
         scaled = scaling_exponents(spectrum_from_lambdas(97.0 * lam), wts)
         np.testing.assert_allclose(scaled, base, atol=1e-12)
@@ -134,8 +138,8 @@ class TestScalingDiagnostic:
         h = 0.4
         js = np.arange(3, 7)
         lam = np.array([[2.0 ** (j * (2 * h + 1))] for j in js])
-        spec = spectrum_from_lambdas(lam, j1=3)
-        wts = regression_weights(3, 6, scheme=UNIFORM)
+        spec = spectrum_from_lambdas(lam)
+        wts = regression_weights(3, 6, counts=spec.counts, scheme=UNIFORM)
         d = scaling_diagnostic(spec, wts)
         assert abs(d[0] - (2 * h + 1)) < 1e-12
 
@@ -144,19 +148,19 @@ class TestScalingDiagnostic:
         h, c = 0.25, 5.5
         js = np.arange(2, 6)
         lam = np.array([[c * 2.0 ** (j * (2 * h + 1))] for j in js])
-        wts = regression_weights(2, 5, scheme=UNIFORM)
-        d = scaling_diagnostic(spectrum_from_lambdas(lam, j1=2), wts)
+        wts = regression_weights(2, 5, counts=[64] * 4, scheme=UNIFORM)
+        d = scaling_diagnostic(spectrum_from_lambdas(lam), wts)
         assert abs(d[0] - (2 * h + 1)) < 1e-12
 
     def test_flat_spectrum_is_zero(self):
         lam = np.ones((4, 3))
-        wts = regression_weights(1, 4, scheme=UNIFORM)
+        wts = regression_weights(1, 4, counts=[64] * 4, scheme=UNIFORM)
         d = scaling_diagnostic(spectrum_from_lambdas(lam), wts)
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_flagged_maps_to_minus_inf(self):
-        spec = spectrum_from_lambdas([[1e-14, 2.0], [4.0, 4.0]], j1=1)
-        wts = regression_weights(1, 2, scheme=UNIFORM)
+        spec = spectrum_from_lambdas([[1e-14, 2.0], [4.0, 4.0]])
+        wts = regression_weights(1, 2, counts=spec.counts, scheme=UNIFORM)
         d = scaling_diagnostic(spec, wts)
         assert d[0] == -np.inf and np.isfinite(d[1])
 
@@ -166,24 +170,25 @@ class TestScalingDiagnostic:
         # delta was once sum_j v_j log2 lambda_j / j with v = j w: the same
         # slope up to rounding. Rounding error grows with the terms summed,
         # not with delta, which cancels to near zero along noise directions.
-        spec = random_spectrum(seed, j1, octaves)
+        spec = random_spectrum(seed, octaves)
+        j2 = j1 + octaves - 1
         for scheme in (UNIFORM, COUNT_WEIGHTED):
-            wts = regression_weights(spec.j1, spec.j2, counts=spec.counts, scheme=scheme)
+            wts = regression_weights(j1, j2, counts=spec.counts, scheme=scheme)
             got = scaling_diagnostic(spec, wts)
-            ref = scaling_diagnostic_reference(spec, scheme)
+            ref = scaling_diagnostic_reference(spec, j1, scheme)
             np.testing.assert_array_equal(got == -np.inf, ref == -np.inf)
             defined = ref > -np.inf
             # sum_j |w_j log2 lambda_j| bounds |delta|
-            terms = np.abs(wts.w[:, None] * np.nan_to_num(spec.log2_eigenvalues)).sum(axis=0)
+            terms = np.abs(wts[:, None] * np.nan_to_num(spec.log2_eigenvalues)).sum(axis=0)
             scale = np.maximum(1.0, terms)[defined]
             assert np.all(np.abs(got[defined] - ref[defined]) <= 4e-15 * scale)
 
     @given(**SPECTRA)
     @settings(max_examples=60, deadline=None)
     def test_is_twice_the_exponent_plus_one(self, j1, octaves, seed):
-        spec = random_spectrum(seed, j1, octaves)
+        spec = random_spectrum(seed, octaves)
         for scheme in (UNIFORM, COUNT_WEIGHTED):
-            wts = regression_weights(spec.j1, spec.j2, counts=spec.counts, scheme=scheme)
+            wts = regression_weights(j1, j1 + octaves - 1, counts=spec.counts, scheme=scheme)
             ell = scaling_exponents(spec, wts)
             delta = scaling_diagnostic(spec, wts)
             defined = ~np.isnan(ell)
@@ -354,8 +359,8 @@ class TestEstimateSeries:
         full = estimate_series(series, fp, 4, 7)
         for field in ("ell_hat", "h_hat", "delta"):
             assert getattr(got, field).tobytes() == getattr(full, field).tobytes()
-        assert got.weights.w.tobytes() == full.weights.w.tobytes()
-        assert (got.r_hat, got.octaves) == (full.r_hat, full.octaves)
+        assert got.weights.tobytes() == full.weights.tobytes()
+        assert (got.r_hat, got.octaves, got.scheme) == (full.r_hat, full.octaves, full.scheme)
 
     def test_exports(self, tmp_path):
         series = self._series(n=2048, seed=5)

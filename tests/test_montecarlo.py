@@ -10,7 +10,8 @@ from eigenwave.estimators import OctaveRangeError, estimate_series
 from eigenwave.montecarlo import (draw_observation, gamma_plot,
                                   ks_critical, ks_statistic, ks_subset_average,
                                   mahalanobis_sq, run_replications, summarize)
-from eigenwave.simulate import cumulative_path, synthesize_ofbm_increments
+from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path,
+                                synthesize_ofbm_increments)
 from eigenwave.special import chi2_cdf, chi2_quantile
 from eigenwave.wavelets import make_filter_bank
 
@@ -118,6 +119,11 @@ class TestKs:
             rejections += reject
         rate = rejections / trials
         assert 0.0 <= rate < 0.12
+
+    def test_empty_sample_rejected(self):
+        # gamma_plot asks for M > 5r first; numpy's empty maximum is the backstop
+        with pytest.raises(ValueError, match="zero-size array"):
+            ks_statistic([], 3)
 
     def test_wrong_dof_rejected_strongly(self):
         rng = np.random.default_rng(8)
@@ -244,6 +250,19 @@ class TestRunReplications:
         observed, latent, z, mixing, _ = draw_observation(small_config(noise=noise), 0)
         assert not np.shares_memory(observed.values, z.values)
         assert observed.values.tobytes() == (mixing @ latent.values + z.values).tobytes()
+
+    @pytest.mark.parametrize("model", [
+        {}, {"hurst": [0.1, 0.9], "point_cov": [[1.0, 0.99], [0.99, 1.0]],
+             "mixing": {"kind": "canonical"}, "p": 2}], ids=["admissible", "clipped"])
+    def test_flagged_when_the_draw_warns(self, model):
+        # the clip tolerance is compared once, in the draw
+        cfg = small_config(replications=2, **model)
+        for index in range(2):
+            diagnostics = draw_observation(cfg, index)[4]
+            record = montecarlo._replicate(cfg, index)
+            assert record.flagged == (diagnostics.warning is not None)
+            assert record.flagged == (record.clipped_energy > CLIP_ENERGY_TOL)
+            assert record.flagged == bool(model)
 
     def test_derived_dimension_validated(self):
         with pytest.raises(ValueError, match="observation dimension 1 below latent r=2"):

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import (arma_noise_reference, circulant_spectrum_reference,
                      synthesize_ofbm_reference)
 
+from eigenwave.config import build_mc_config, preset_config, resolve_config
+from eigenwave.montecarlo import draw_observation
 from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 SynthesisDiagnostics, _arma_block_operators,
@@ -11,6 +16,8 @@ from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 assemble_observations, cumulative_path,
                                 fgn_cross_covariance, make_mixing_matrix,
                                 synthesize_noise, synthesize_ofbm_increments)
+
+ARMA_WIDE = Path(__file__).resolve().parent.parent / "perfbench/workloads/arma-wide.json"
 
 
 class TestCrossCovariance:
@@ -436,11 +443,25 @@ class TestAssemble:
         assert z_rows.tobytes() == z_bytes  # the noise is never written into
         assert not np.shares_memory(y.values, z_rows)
 
-    def test_shape_mismatch_rejected(self):
-        x = MultivariateSeries(np.zeros((2, 5)))
-        z = MultivariateSeries(np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="shape"):
-            assemble_observations(np.eye(3, 2), x, z)
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig4", "arma-wide", "explicit-none"])
+    def test_draws_have_the_study_shapes(self, name):
+        # assemble_observations trusts its inputs: build_mc_config settles p,
+        # r and n, and the draw's stages follow them
+        if name == "arma-wide":
+            doc = json.loads(ARMA_WIDE.read_text())
+        elif name == "explicit-none":
+            doc = {"model": {"r": 2, "hurst": [0.35, 0.75], "n": 1024, "p": 3,
+                             "mixing": {"kind": "explicit",
+                                        "matrix": [[0.6, 0.0], [0.8, 0.6], [0.0, 0.8]]},
+                             "noise": {"kind": "none"}},
+                   "analysis": {"j1": 2, "j2": 6}}
+        else:
+            doc = preset_config(name)
+        config = build_mc_config(resolve_config(doc))
+        y, x, z, mixing, _ = draw_observation(config, 0)
+        p, r, n = config.p, config.model.r, config.n
+        assert (y.values.shape, x.values.shape, z.values.shape, mixing.shape) == (
+            (p, n), (r, n), (p, n), (p, r))
 
     def test_mixing_preserves_covariance(self):
         # lag-0 covariance of Y approximates P sigma P^T + Cov(Z)

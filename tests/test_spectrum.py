@@ -1,4 +1,5 @@
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,19 @@ from eigenwave.wavelets import make_filter_bank, pyramid_transform
 from oracles import jacobi_eigen
 
 ARMA_WIDE = Path(__file__).resolve().parent.parent / "perfbench/workloads/arma-wide.json"
+STUDIES = ["fig1", "fig3", "fig4", "arma-wide"]
+
+
+@lru_cache(maxsize=None)
+def study_covariances(name, index):
+    """The octave covariances of replication `index` of a preset, or of the
+    arma-wide benchmark workload."""
+    doc = json.loads(ARMA_WIDE.read_text()) if name == "arma-wide" else preset_config(name)
+    config = build_mc_config(resolve_config(doc))
+    series = draw_observation(config, index)[0]
+    pyr = pyramid_transform(series, make_filter_bank(config.family, config.n_vanishing),
+                            config.j2, j_min=config.j1)
+    return tuple(wavelet_covariance(j, pyr.detail(j)) for j in range(config.j1, config.j2 + 1))
 
 
 class TestWaveletCovariance:
@@ -33,12 +47,16 @@ class TestWaveletCovariance:
 
     def test_exact_symmetry(self):
         # the only symmetry guarantee the eigensolver gets: wide, tall, scalar
-        # and badly scaled detail matrices all give bitwise-symmetric output
+        # and badly scaled detail matrices, and the octave details of two
+        # replications of each study, all give bitwise-symmetric output
         rng = np.random.default_rng(1)
-        for shape, scale in (((6, 40), 1.0), ((12, 3), 1e-6), ((1, 5), 1.0),
-                             ((30, 30), 1e8), ((64, 2), 3.0)):
-            cov = wavelet_covariance(1, scale * rng.standard_normal(shape))
-            np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
+        covs = [wavelet_covariance(1, scale * rng.standard_normal(shape))
+                for shape, scale in (((6, 40), 1.0), ((12, 3), 1e-6), ((1, 5), 1.0),
+                                     ((30, 30), 1e8), ((64, 2), 3.0))]
+        covs += [cov for name in STUDIES for index in range(2)
+                 for cov in study_covariances(name, index)]
+        for cov in covs:
+            assert cov.matrix.tobytes() == cov.matrix.T.copy().tobytes()
 
     def test_trace_identity(self):
         rng = np.random.default_rng(2)
@@ -153,17 +171,8 @@ class TestLogEigenSpectrum:
         series = MultivariateSeries(rng.standard_normal((3, 512)))
         pyr = pyramid_transform(series, make_filter_bank("haar"), 4)
         spec = log_eigen_spectrum([wavelet_covariance(j, pyr.detail(j)) for j in (2, 3, 4)])
-        assert (spec.j1, spec.j2) == (2, 4)
+        assert spec.eigenvalues.shape == (3, 3)
         assert spec.counts == tuple(pyr.counts[j] for j in (2, 3, 4))
-
-
-def replication_covariances(doc, index):
-    """The octave covariances of replication `index` of a study config."""
-    config = build_mc_config(resolve_config(doc))
-    series = draw_observation(config, index)[0]
-    pyr = pyramid_transform(series, make_filter_bank(config.family, config.n_vanishing),
-                            config.j2, j_min=config.j1)
-    return [wavelet_covariance(j, pyr.detail(j)) for j in range(config.j1, config.j2 + 1)]
 
 
 def assert_batched_eigh_is_per_octave(covs):
@@ -176,11 +185,10 @@ class TestBatchedEigh:
     """One eigh over the (octaves, p, p) stack gives the bits of one eigh per
     octave; the fixtures' byte-identical outputs rest on this."""
 
-    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig4", "arma-wide"])
+    @pytest.mark.parametrize("name", STUDIES)
     def test_study_replications(self, name):
-        doc = json.loads(ARMA_WIDE.read_text()) if name == "arma-wide" else preset_config(name)
         for index in range(2):
-            assert_batched_eigh_is_per_octave(replication_covariances(doc, index))
+            assert_batched_eigh_is_per_octave(study_covariances(name, index))
 
     @given(p=st.integers(1, 96), octaves=st.integers(2, 6), seed=st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None)
