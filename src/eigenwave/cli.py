@@ -55,7 +55,9 @@ def _load_config(args) -> dict:
             target = doc.setdefault(section, {})
             if isinstance(target, dict):
                 target[key] = value
-    return resolve_config(doc)
+    cfg = resolve_config(doc)
+    _check_out_dir(cfg)
+    return cfg
 
 
 def _check_out_dir(cfg: dict) -> None:
@@ -89,7 +91,6 @@ def _write_series(series: MultivariateSeries, stem: str, cfg: dict, out: Path) -
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    _check_out_dir(cfg)
     mc_config = build_mc_config(cfg)
     out = _out_dir(cfg)
     observed, latent, noise, mixing, diagnostics = draw_observation(mc_config, 0)
@@ -114,7 +115,6 @@ def _read_series(path: str) -> MultivariateSeries:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    _check_out_dir(cfg)
     if args.data:
         series = _read_series(args.data)
     else:
@@ -135,7 +135,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = _load_config(args)
-    _check_out_dir(cfg)
     if cfg["analysis"]["r"] is not None:
         raise ConfigError("analysis.r: mc reports the model's r exponents; "
                           "analysis.r applies to estimate only", path="analysis.r")

@@ -7,15 +7,15 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import copy
+import math
 import operator
 import sys
 
 import numpy as np
 
-from .estimators import COUNT_WEIGHTED, DEFAULT_KAPPA, check_octave_range
+from .estimators import COUNT_WEIGHTED, check_octave_range
 from .montecarlo import McConfig
 from .simulate import MixingSpec, NoiseSpec, OfBmSpec
-from .spectrum import DEFAULT_EIGEN_FLOOR
 from .wavelets import make_filter_bank
 
 
@@ -100,9 +100,8 @@ SCHEMA = {
                 "j1": {"type": "integer", "minimum": 1},
                 "j2": {"type": "integer", "minimum": 1},
                 "weights": {"enum": ["uniform", "count"], "default": COUNT_WEIGHTED},
-                "eigen_floor": {"type": "number", "exclusiveMinimum": 0,
-                                "default": DEFAULT_EIGEN_FLOOR},
-                "kappa": {"type": "number", "exclusiveMinimum": 0, "default": DEFAULT_KAPPA},
+                "eigen_floor": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
+                "kappa": {"type": "number", "exclusiveMinimum": 0, "default": 0.3},
                 "kappa_grid": {"type": "array", "minItems": 1,
                                "items": {"type": "number", "exclusiveMinimum": 0},
                                "default": list(DEFAULT_KAPPA_GRID)},
@@ -285,7 +284,7 @@ def build_mc_config(cfg: dict) -> McConfig:
     if "p" in model:
         p = model["p"]
     elif "ratio" in mc:
-        p = int(round(mc["ratio"] * n / 2 ** analysis["j2"]))
+        p = int(round(math.ldexp(mc["ratio"] * n, -analysis["j2"])))
     else:
         raise ConfigError(
             "model.p: give model.p explicitly or set mc.ratio to derive it",

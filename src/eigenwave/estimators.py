@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import MultivariateSeries, write_csv
-from .spectrum import (DEFAULT_EIGEN_FLOOR, LogEigenSpectrum, log_eigen_spectrum,
-                       wavelet_covariance)
+from .spectrum import LogEigenSpectrum, log_eigen_spectrum, wavelet_covariance
 from .wavelets import FilterPair, check_series_length, pyramid_transform, valid_count
-
-DEFAULT_KAPPA = 0.3
 
 UNIFORM = "uniform"
 COUNT_WEIGHTED = "count"
@@ -50,8 +47,7 @@ def check_octave_range(n: int, j1: int, j2: int, filter_length: int) -> None:
         )
 
 
-def regression_weights(j1: int, j2: int, counts,
-                       scheme: str = COUNT_WEIGHTED) -> np.ndarray:
+def regression_weights(j1: int, j2: int, counts, scheme: str) -> np.ndarray:
     """Weighted least-squares slope weights w over the octave range j1..j2:
     w sums to zero and has unit first moment over j.
 
@@ -163,15 +159,13 @@ class EstimationResult:
 
 
 def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
-                    j1: int, j2: int, scheme: str = COUNT_WEIGHTED,
-                    floor: float = DEFAULT_EIGEN_FLOOR,
-                    kappa: float = DEFAULT_KAPPA,
-                    r: int | None = None) -> EstimationResult:
+                    j1: int, j2: int, scheme: str, floor: float, kappa: float,
+                    r: int | None) -> EstimationResult:
     """Full pipeline: pyramid, per-octave covariances, eigenvalues,
     regression, diagnostic and effective dimension.
 
-    When r is given it fixes how many top exponent estimates are reported;
-    otherwise the estimated dimension is used.
+    When r is not None it fixes how many top exponent estimates are
+    reported; otherwise the estimated dimension is used.
     """
     check_octave_range(series.n, j1, j2, filter_pair.length)
     pyramid = pyramid_transform(series, filter_pair, j2, j_min=j1)

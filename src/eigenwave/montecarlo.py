@@ -26,6 +26,9 @@ from .wavelets import make_filter_bank
 KS_CRITICAL_COEFF = 1.358  # asymptotic 5% two-sided critical value coefficient
 MAHALANOBIS_MIN_RATIO = 5  # refuse Gamma plots with fewer than 5r samples
 CONDITION_LIMIT = 1e12
+# ks_subset_average's plan: this many subsets, drawn from a generator of this seed
+KS_SUBSETS = 100
+KS_SUBSET_SEED = 20220521
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def _replicate(config: McConfig, index: int) -> ReplicationRecord:
     )
 
 
-def run_replications(config: McConfig, workers: int = 1):
+def run_replications(config: McConfig, workers: int):
     """All replications of a study, in index order.
 
     Generators are seeded with (master seed, index), so the records do not
@@ -156,28 +159,28 @@ def ks_critical(m: int) -> float:
     return KS_CRITICAL_COEFF / np.sqrt(m)
 
 
-def ks_subset_average(d2, dof: int, n_subsets: int = 100,
-                      subset_size: int = 1250, seed: int = 20220521) -> dict:
-    """Average KS statistic and rejection rate over random subsamples,
-    for parity with studies that report subset-averaged decisions. The
-    CDF is taken once per distance and shared by every subset."""
+def ks_subset_average(d2, dof: int, subset_size: int) -> dict:
+    """Average KS statistic and rejection rate over KS_SUBSETS random
+    subsamples of subset_size, for parity with studies that report
+    subset-averaged decisions. The CDF is taken once per distance and
+    shared by every subset."""
     d2 = np.asarray(d2, dtype=np.float64)
     if subset_size > d2.size:
         raise ValueError(
             f"subset size {subset_size} exceeds sample size {d2.size}"
         )
     cdf = np.array([chi2_cdf(dof, float(x)) for x in d2])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(KS_SUBSET_SEED)
     stats, decisions = [], []
-    for _ in range(n_subsets):
+    for _ in range(KS_SUBSETS):
         picked = rng.choice(d2.size, size=subset_size, replace=False)
         stat, reject = _ks_decision(cdf[picked][np.argsort(d2[picked])])
         stats.append(stat)
         decisions.append(reject)
     return {
-        "n_subsets": n_subsets,
+        "n_subsets": KS_SUBSETS,
         "subset_size": subset_size,
-        "seed": seed,
+        "seed": KS_SUBSET_SEED,
         "mean_statistic": float(np.mean(stats)),
         "rejection_rate": float(np.mean(decisions)),
     }
@@ -250,7 +253,7 @@ def write_gamma_csv(plot: GammaPlotData | None, path) -> None:
               ((m, d, q) for m, (d, q) in enumerate(rows, start=1)))
 
 
-def write_ks_json(plot: GammaPlotData, path, subset: dict | None = None) -> None:
+def write_ks_json(plot: GammaPlotData, path, subset: dict | None) -> None:
     doc = {
         "statistic": plot.ks_stat,
         "critical": plot.ks_critical,

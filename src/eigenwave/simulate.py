@@ -148,12 +148,6 @@ def fgn_cross_covariance(h_a: float, h_b: float, sigma_ab: float, lag) -> float:
     return out
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _circulant_spectrum(hurst: tuple, point_cov: np.ndarray, n: int):
     """Spectral r x r matrices of the length-2n circulant embedding.
 
@@ -196,7 +190,7 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
     return half, clip_energy
 
 
-def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
+def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator):
     """Draw n steps of the stationary increment process by circulant
     matrix embedding.
 
@@ -208,7 +202,6 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, seed):
     """
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
-    rng = _rng(seed)
     r = spec.r
     m = 2 * n
     half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
@@ -240,13 +233,12 @@ def cumulative_path(increments: MultivariateSeries) -> MultivariateSeries:
     return MultivariateSeries(np.cumsum(increments.values, axis=1))
 
 
-def make_mixing_matrix(spec: MixingSpec, seed=None) -> np.ndarray:
+def make_mixing_matrix(spec: MixingSpec, rng: np.random.Generator) -> np.ndarray:
     """Realize the p x r coordinates matrix for a mixing recipe."""
     if spec.kind == "canonical":
         return np.eye(spec.p, spec.r)
     if spec.kind == "explicit":
         return spec.matrix.copy()
-    rng = _rng(seed)
     m = rng.standard_normal((spec.p, spec.r))
     return m / np.linalg.norm(m, axis=0)
 
@@ -318,11 +310,11 @@ def _arma_filter(eps: np.ndarray, ar: tuple, ma: tuple) -> None:
         carry = carries[:, -1]
 
 
-def synthesize_noise(spec: NoiseSpec, p: int, n: int, seed) -> MultivariateSeries:
+def synthesize_noise(spec: NoiseSpec, p: int, n: int,
+                     rng: np.random.Generator) -> MultivariateSeries:
     """Draw p independent noise rows of length n."""
     if spec.kind == "none":
         return MultivariateSeries(np.zeros((p, n)))
-    rng = _rng(seed)
     sd = np.sqrt(spec.variance)
     burn = 0 if spec.kind == "iid_gaussian" else _arma_burn_in(spec)
     x = rng.standard_normal((p, n + burn))

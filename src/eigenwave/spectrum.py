@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_EIGEN_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class WaveletCovariance:
@@ -37,19 +35,18 @@ def wavelet_covariance(j: int, details: np.ndarray) -> WaveletCovariance:
 
 @dataclass(frozen=True)
 class LogEigenSpectrum:
-    """Sorted eigenvalues per octave with their base-2 logarithms.
+    """Base-2 logarithms of the sorted eigenvalues per octave.
 
-    eigenvalues, log2_eigenvalues and zero_flags all have shape
-    (octave count, p); log2 entries are NaN exactly where flagged.
+    log2_eigenvalues and zero_flags both have shape (octave count, p);
+    log2 entries are NaN exactly where flagged.
     """
 
     counts: tuple
-    eigenvalues: np.ndarray
     log2_eigenvalues: np.ndarray
     zero_flags: np.ndarray
 
 
-def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEigenSpectrum:
+def log_eigen_spectrum(covariances, floor: float) -> LogEigenSpectrum:
     """Eigen-decompose per-octave covariances and floor tiny eigenvalues.
 
     covariances is a sequence of WaveletCovariance over consecutive
@@ -64,8 +61,6 @@ def log_eigen_spectrum(covariances, floor: float = DEFAULT_EIGEN_FLOOR) -> LogEi
     flags = lam < floor
     with np.errstate(divide="ignore", invalid="ignore"):
         log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
-    return LogEigenSpectrum(
-        counts=tuple(c.n_j for c in covs), eigenvalues=lam,
-        log2_eigenvalues=log2lam, zero_flags=flags,
-    )
+    return LogEigenSpectrum(counts=tuple(c.n_j for c in covs),
+                            log2_eigenvalues=log2lam, zero_flags=flags)
 

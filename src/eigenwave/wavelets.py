@@ -89,7 +89,7 @@ def _filter_pair(lowpass) -> FilterPair:
 _FILTERS = {n: _filter_pair(u) for n, u in _DAUBECHIES_LOWPASS.items()}
 
 
-def make_filter_bank(family: str, n_vanishing: int = 1) -> FilterPair:
+def make_filter_bank(family: str, n_vanishing: int) -> FilterPair:
     """The analysis filter pair of a wavelet family, built at import.
 
     family is "haar" (n_vanishing 1 only, the same pair as Daubechies 1) or

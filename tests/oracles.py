@@ -64,7 +64,7 @@ def circulant_spectrum_reference(hurst, point_cov, n: int):
     return np.fft.rfft(np.concatenate([cov, cov[1:-1][::-1]], axis=0), axis=0).real
 
 
-def synthesize_ofbm_reference(spec, n: int, seed):
+def synthesize_ofbm_reference(spec, n: int, rng):
     """Circulant-embedding synthesis as written before the embedding root
     was cached: it factors the spectrum on every call, shapes the noise
     with the full mirrored (2n, r, r) array of roots and keeps the real
@@ -75,7 +75,6 @@ def synthesize_ofbm_reference(spec, n: int, seed):
     Returns (increments as an (r, n) array, clipped energy, warning).
     """
     from eigenwave.simulate import CLIP_ENERGY_TOL
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     r, m = spec.r, 2 * n
     lam, vec = np.linalg.eigh(circulant_spectrum_reference(spec.hurst, spec.point_cov, n))
     clipped = np.maximum(-lam, 0.0).sum()

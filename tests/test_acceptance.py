@@ -22,6 +22,9 @@ from eigenwave.spectrum import LogEigenSpectrum
 from eigenwave.wavelets import make_filter_bank, pyramid_transform, valid_count
 from oracles import jacobi_eigen
 
+# The analysis defaults of config.SCHEMA, for the direct estimate_series calls
+ANALYSIS = {"scheme": COUNT_WEIGHTED, "floor": 1e-10, "kappa": 0.3}
+
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
@@ -93,8 +96,7 @@ def test_criterion_04_power_law_recovery_exact():
         lam = np.array([[2.0 ** (j * (2 * h + 1))] for j in js])
         with np.errstate(divide="ignore"):
             log2 = np.log2(lam)
-        spec = LogEigenSpectrum(counts=tuple([64] * js.size),
-                                eigenvalues=lam, log2_eigenvalues=log2,
+        spec = LogEigenSpectrum(counts=tuple([64] * js.size), log2_eigenvalues=log2,
                                 zero_flags=np.zeros_like(lam, dtype=bool))
         for scheme in (UNIFORM, COUNT_WEIGHTED):
             wts = regression_weights(j1, j2, counts=[512, 256, 128, 64, 32, 16],
@@ -115,7 +117,7 @@ def test_criterion_05_univariate_consistency():
     estimates = np.empty(reps)
     for rep in range(reps):
         incr, _ = synthesize_ofbm_increments(spec, n, np.random.default_rng([505, rep]))
-        result = estimate_series(cumulative_path(incr), fp, 6, 9, r=1)
+        result = estimate_series(cumulative_path(incr), fp, 6, 9, **ANALYSIS, r=1)
         estimates[rep] = result.h_hat[0]
     bias = abs(estimates.mean() - h)
     spread = estimates.std(ddof=1)
@@ -135,7 +137,7 @@ def test_criterion_06_separation():
     config = preset_study("fig1", 50)  # n = 2^16, octaves 6..9, seed 106
     hurst = config.model.hurst
     assert config.p == 32
-    records = run_replications(config)
+    records = run_replications(config, workers=1)
     h = np.array([rec.h_hat for rec in records])
     bias = np.abs(h.mean(axis=0) - np.array(hurst)).max()
     deltas = np.array([rec.delta for rec in records])
@@ -150,7 +152,7 @@ def test_criterion_06_separation():
 def test_criterion_07_effective_dimension_plateau():
     config = preset_study("fig4", 200)  # n = 2^12, octaves 4..6, seed 41
     assert config.p == 32
-    records = run_replications(config)
+    records = run_replications(config, workers=1)
     grid = np.array(config.kappa_grid)
     rows = kappa_sweep(np.array([rec.delta for rec in records]), grid, true_r=3)
     good = np.array([round(mean) == 3 and q05 == 3.0 and q95 == 3.0
@@ -174,7 +176,7 @@ def test_criterion_07_effective_dimension_plateau():
 def test_criterion_08_gaussianity():
     config = preset_study("fig3", 500)  # n = 2^14, octaves 5..7, seed 314
     assert config.p == 64
-    records = run_replications(config)
+    records = run_replications(config, workers=1)
     samples = np.array([rec.h_hat for rec in records])
     plot = gamma_plot(samples)
     m, r = samples.shape

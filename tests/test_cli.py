@@ -390,19 +390,20 @@ def test_invalid_model_is_config_error(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "mc"])
-def test_ratio_derived_p_below_r_is_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@pytest.mark.parametrize("j2", [8, 1024, 2000])
+def test_ratio_derived_p_below_r_is_config_error(capsys, command, j2):
+    # p = round(0.25 * 1024 / 2^j2): 1 at octave 8, and 0 at octaves past
+    # the float range, where 2^j2 as a float would overflow
     doc = json.loads(json.dumps(MINIMAL))
     del doc["model"]["p"]
     doc["model"].update({"r": 3, "hurst": [0.2, 0.5, 0.8]})
-    doc["analysis"] = {"j1": 2, "j2": 8}
-    doc["mc"]["ratio"] = 0.25  # p = round(0.25 * 1024 / 2^8) = 1
-    out = tmp_path / "out"
-    code, _, err = run([command, "--config", write_config(tmp_path, doc),
-                        "--out", str(out)], capsys)
-    assert code == 2, err
-    assert json.loads(err.strip())["path"] == "model.p"
-    assert not out.exists()
+    doc["analysis"] = {"j1": 2, "j2": j2}
+    doc["mc"]["ratio"] = 0.25
+    error = assert_rejected([command, "--config", "c.json", "--out", "out"],
+                            {"c.json": json.dumps(doc).encode()}, capsys)
+    assert (error["code"], error["path"]) == (2, "model.p")
+    assert error["error"] == f"model.p: observation dimension {int(j2 == 8)} below latent r=3"
 
 
 # Each override flag writes one config key and is checked like that key;

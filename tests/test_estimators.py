@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,17 +19,21 @@ from eigenwave.wavelets import make_filter_bank, pyramid_transform, valid_count
 from oracles import kappa_sweep_reference, scaling_diagnostic_reference
 
 
-def spectrum_from_lambdas(lambdas, floor=1e-10, counts=None):
+# The analysis defaults of config.SCHEMA, passed to every estimate_series call
+FLOOR = 1e-10
+ANALYSIS = {"scheme": COUNT_WEIGHTED, "floor": FLOOR, "kappa": 0.3}
+
+
+def spectrum_from_lambdas(lambdas, counts=None):
     """LogEigenSpectrum directly from an (octaves, p) eigenvalue table."""
     lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
     m, p = lam.shape
-    flags = lam < floor
+    flags = lam < FLOOR
     with np.errstate(divide="ignore"):
         log2 = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
     if counts is None:
         counts = tuple(64 for _ in range(m))
-    return LogEigenSpectrum(counts=tuple(counts), eigenvalues=lam,
-                            log2_eigenvalues=log2, zero_flags=flags)
+    return LogEigenSpectrum(counts=tuple(counts), log2_eigenvalues=log2, zero_flags=flags)
 
 
 def random_spectrum(seed, octaves, p=12):
@@ -257,7 +263,7 @@ class TestKappaSweep:
 class TestEstimateSeries:
     def _series(self, h=0.7, n=4096, seed=0):
         spec = OfBmSpec(hurst=(h,), point_cov=np.eye(1))
-        incr, _ = synthesize_ofbm_increments(spec, n, seed)
+        incr, _ = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
         return cumulative_path(incr)
 
     def test_univariate_log_eigenvalue_slope(self):
@@ -266,14 +272,14 @@ class TestEstimateSeries:
         h = 0.7
         series = self._series(h=h, n=2 ** 16, seed=160)
         fp = make_filter_bank("daubechies", 2)
-        result = estimate_series(series, fp, 6, 10, r=1)
+        result = estimate_series(series, fp, 6, 10, **ANALYSIS, r=1)
         slope = result.delta[0]  # the weighted slope, 2 ell_hat + 1
         assert abs(slope - (2 * h + 1)) < 0.2
 
     def test_univariate_recovery(self):
         series = self._series(h=0.7, n=2 ** 14, seed=21)
         fp = make_filter_bank("daubechies", 2)
-        result = estimate_series(series, fp, 5, 8, r=1)
+        result = estimate_series(series, fp, 5, 8, **ANALYSIS, r=1)
         assert abs(result.h_hat[0] - 0.7) < 0.15
         assert result.octaves == (5, 8)
 
@@ -281,10 +287,10 @@ class TestEstimateSeries:
         series = self._series(n=256)
         fp = make_filter_bank("daubechies", 2)
         with pytest.raises(OctaveRangeError) as err:
-            estimate_series(series, fp, 2, 12)
+            estimate_series(series, fp, 2, 12, **ANALYSIS, r=None)
         assert 1 <= err.value.last_feasible < 12
         with pytest.raises(OctaveRangeError) as huge:  # stops at the first empty octave
-            estimate_series(series, fp, 2, 10 ** 9)
+            estimate_series(series, fp, 2, 10 ** 9, **ANALYSIS, r=None)
         assert huge.value.last_feasible == err.value.last_feasible
 
     @pytest.mark.parametrize("n, j1, j2, message", [
@@ -304,7 +310,7 @@ class TestEstimateSeries:
         monkeypatch.setattr(estimators, "pyramid_transform", spy)
         fp = make_filter_bank("daubechies", 2)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            estimate_series(self._series(n=n), fp, j1, j2)
+            estimate_series(self._series(n=n), fp, j1, j2, **ANALYSIS, r=None)
         assert calls == []
 
     @pytest.mark.parametrize("scheme", [UNIFORM, COUNT_WEIGHTED])
@@ -326,7 +332,8 @@ class TestEstimateSeries:
         monkeypatch.setattr(estimators, "regression_weights", weights_spy)
         # n = 1024 with a length-4 filter keeps 6 and 2 coefficients at octaves 7 and 8
         series = self._series(n=1024)
-        estimate_series(series, make_filter_bank("daubechies", 2), 5, 8, scheme=scheme)
+        estimate_series(series, make_filter_bank("daubechies", 2), 5, 8,
+                        **{**ANALYSIS, "scheme": scheme}, r=None)
         spectrum = seen["spectrum"]
         assert seen["octaves"] == [5, 6, 7, 8]
         assert spectrum.counts == tuple(valid_count(1024, j, 4) for j in range(5, 9))
@@ -336,8 +343,8 @@ class TestEstimateSeries:
     def test_r_override_vs_estimated(self):
         series = self._series(h=0.8, n=2 ** 13, seed=33)
         fp = make_filter_bank("daubechies", 2)
-        auto = estimate_series(series, fp, 4, 7)
-        fixed = estimate_series(series, fp, 4, 7, r=1)
+        auto = estimate_series(series, fp, 4, 7, **ANALYSIS, r=None)
+        fixed = estimate_series(series, fp, 4, 7, **ANALYSIS, r=1)
         assert fixed.h_hat.size == 1
         assert auto.r_hat == auto.h_hat.size
 
@@ -351,12 +358,12 @@ class TestEstimateSeries:
             return pyramid_transform(series, filter_pair, j_max, j_min)
 
         monkeypatch.setattr(estimators, "pyramid_transform", spy)
-        got = estimate_series(series, fp, 4, 7)
+        got = estimate_series(series, fp, 4, 7, **ANALYSIS, r=None)
         assert calls == [(7, 4)]
         monkeypatch.setattr(estimators, "pyramid_transform",
                             lambda series, filter_pair, j_max, j_min: pyramid_transform(
                                 series, filter_pair, j_max))
-        full = estimate_series(series, fp, 4, 7)
+        full = estimate_series(series, fp, 4, 7, **ANALYSIS, r=None)
         for field in ("ell_hat", "h_hat", "delta"):
             assert getattr(got, field).tobytes() == getattr(full, field).tobytes()
         assert got.weights.tobytes() == full.weights.tobytes()
@@ -364,8 +371,8 @@ class TestEstimateSeries:
 
     def test_exports(self, tmp_path):
         series = self._series(n=2048, seed=5)
-        fp = make_filter_bank("haar")
-        result = estimate_series(series, fp, 2, 5, r=1)
+        fp = make_filter_bank("haar", 1)
+        result = estimate_series(series, fp, 2, 5, **ANALYSIS, r=1)
         csv_path = tmp_path / "result.csv"
         write_result_csv(result, csv_path)
         lines = csv_path.read_text().splitlines()
@@ -375,3 +382,20 @@ class TestEstimateSeries:
         assert doc["octaves"] == [2, 5]
         assert len(doc["h_hat"]) == 1
         assert abs(sum(doc["weights"]["w"])) < 1e-12
+
+
+# The parameters that take an analysis value, with no default in any stage
+ANALYSIS_PARAMETERS = {
+    estimate_series: ("scheme", "floor", "kappa", "r"),
+    regression_weights: ("scheme",),
+    log_eigen_spectrum: ("floor",),
+    make_filter_bank: ("n_vanishing",),
+}
+
+
+@pytest.mark.parametrize("stage", ANALYSIS_PARAMETERS, ids=lambda stage: stage.__name__)
+def test_analysis_values_come_from_the_caller(stage):
+    # each analysis default is stated once, in config.SCHEMA
+    params = inspect.signature(stage).parameters
+    assert all(params[name].default is inspect.Parameter.empty
+               for name in ANALYSIS_PARAMETERS[stage])

@@ -7,9 +7,10 @@ from oracles import ks_subset_average_reference
 from eigenwave import montecarlo
 from eigenwave.config import build_mc_config, resolve_config
 from eigenwave.estimators import OctaveRangeError, estimate_series
-from eigenwave.montecarlo import (draw_observation, gamma_plot,
-                                  ks_critical, ks_statistic, ks_subset_average,
-                                  mahalanobis_sq, run_replications, summarize)
+from eigenwave.montecarlo import (KS_SUBSET_SEED, KS_SUBSETS, draw_observation,
+                                  gamma_plot, ks_critical, ks_statistic,
+                                  ks_subset_average, mahalanobis_sq,
+                                  run_replications, summarize)
 from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path,
                                 synthesize_ofbm_increments)
 from eigenwave.special import chi2_cdf, chi2_quantile
@@ -134,9 +135,10 @@ class TestKs:
     def test_subset_average_deterministic(self):
         rng = np.random.default_rng(9)
         sample = rng.chisquare(6, size=2000)
-        a = ks_subset_average(sample, 6, n_subsets=10, subset_size=500)
-        b = ks_subset_average(sample, 6, n_subsets=10, subset_size=500)
+        a = ks_subset_average(sample, 6, subset_size=500)
+        b = ks_subset_average(sample, 6, subset_size=500)
         assert a == b
+        assert (a["n_subsets"], a["seed"]) == (KS_SUBSETS, KS_SUBSET_SEED)
         assert 0.0 <= a["rejection_rate"] <= 1.0
 
     @pytest.mark.parametrize("order", ["sorted", "shuffled", "tied"])
@@ -148,9 +150,9 @@ class TestKs:
             sample = rng.permutation(sample)
         elif order == "tied":
             sample = rng.permutation(np.repeat(sample[:200], 4))
-        got = ks_subset_average(sample, 3, n_subsets=20, subset_size=subset_size)
-        want = ks_subset_average_reference(sample, 3, n_subsets=20,
-                                           subset_size=subset_size)
+        got = ks_subset_average(sample, 3, subset_size=subset_size)
+        want = ks_subset_average_reference(sample, 3, n_subsets=KS_SUBSETS,
+                                           subset_size=subset_size, seed=KS_SUBSET_SEED)
         assert got == want
 
     def test_subset_average_takes_each_cdf_once(self, monkeypatch):
@@ -161,7 +163,7 @@ class TestKs:
             return chi2_cdf(dof, x)
         monkeypatch.setattr(montecarlo, "chi2_cdf", counting_cdf)
         sample = np.random.default_rng(13).chisquare(2, size=300)
-        ks_subset_average(sample, 2, n_subsets=10, subset_size=100)
+        ks_subset_average(sample, 2, subset_size=100)
         assert len(calls) == sample.size
 
     def test_subset_size_validated(self):
@@ -190,12 +192,12 @@ class TestGammaPlot:
 class TestRunReplications:
     def test_deterministic_rerun(self):
         cfg = small_config(replications=1)
-        a = run_replications(cfg)
-        b = run_replications(cfg)
+        a = run_replications(cfg, workers=1)
+        b = run_replications(cfg, workers=1)
         assert a == b
 
     def test_distinct_seeds_per_replication(self):
-        records = run_replications(small_config(replications=8))
+        records = run_replications(small_config(replications=8), workers=1)
         assert len(records) == 8
         assert len({rec.seed for rec in records}) == 8
         assert len({rec.h_hat for rec in records}) == 8
@@ -234,12 +236,13 @@ class TestRunReplications:
         cfg = small_config(r=1, hurst=[0.6], mixing={"kind": "canonical"},
                            noise={"kind": "none"}, p=1, replications=1)
         assert cfg.p == 1
-        record = run_replications(cfg)[0]
+        record = run_replications(cfg, workers=1)[0]
         rng = np.random.default_rng([cfg.master_seed, 0])
         incr, _ = synthesize_ofbm_increments(cfg.model, cfg.n, rng)
         path = cumulative_path(incr)
-        est = estimate_series(path, make_filter_bank("daubechies", 2),
-                              cfg.j1, cfg.j2, r=1)
+        est = estimate_series(path, make_filter_bank(cfg.family, cfg.n_vanishing),
+                              cfg.j1, cfg.j2, scheme=cfg.weight_scheme,
+                              floor=cfg.eigen_floor, kappa=cfg.kappa, r=1)
         assert record.h_hat[0] == pytest.approx(est.h_hat[0], abs=1e-12)
 
     @pytest.mark.parametrize("noise", [{"kind": "iid_gaussian", "variance": 2.5},
@@ -287,14 +290,14 @@ class TestRunReplications:
 
 class TestSummarize:
     def test_identical_records_collapse(self):
-        records = run_replications(small_config(replications=1)) * 5
+        records = run_replications(small_config(replications=1), workers=1) * 5
         out = summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))
         assert out["replications"] == 5
         assert out["h"]["std"] == [0.0, 0.0]
         assert out["h"]["q05"] == out["h"]["q95"] == out["h"]["mean"]
 
     def test_two_record_toy_by_hand(self):
-        records = run_replications(small_config(replications=2))
+        records = run_replications(small_config(replications=2), workers=1)
         out = summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))
         h = np.array([rec.h_hat for rec in records])
         assert out["h"]["mean"] == pytest.approx(list(h.mean(axis=0)))
@@ -302,7 +305,7 @@ class TestSummarize:
         assert out["h"]["bias"][1] == pytest.approx(h[:, 1].mean() - 0.7)
 
     def test_flagged_counted_but_excluded(self):
-        records = run_replications(small_config(replications=3))
+        records = run_replications(small_config(replications=3), workers=1)
         import dataclasses
         flagged = dataclasses.replace(records[0], flagged=True)
         out = summarize([flagged] + records[1:], kappa_grid=[0.5], true_hurst=(0.4, 0.7))
@@ -318,7 +321,7 @@ class TestSummarize:
     def test_all_flagged_fails(self):
         import dataclasses
         records = [dataclasses.replace(rec, flagged=True)
-                   for rec in run_replications(small_config(replications=2))]
+                   for rec in run_replications(small_config(replications=2), workers=1)]
         with pytest.raises(ValueError, match="^every replication was flagged by "
                                              "synthesis diagnostics$"):
             summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))

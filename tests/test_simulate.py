@@ -65,12 +65,12 @@ class TestSynthesis:
     def test_requires_power_of_two(self):
         spec = OfBmSpec(hurst=(0.5,), point_cov=np.eye(1))
         with pytest.raises(ValueError, match="power of two"):
-            synthesize_ofbm_increments(spec, 1000, 1)
+            synthesize_ofbm_increments(spec, 1000, np.random.default_rng(1))
 
     def test_deterministic_for_seed(self):
         spec = OfBmSpec(hurst=(0.3, 0.7), point_cov=np.eye(2))
-        a, _ = synthesize_ofbm_increments(spec, 512, 42)
-        b, _ = synthesize_ofbm_increments(spec, 512, 42)
+        a, _ = synthesize_ofbm_increments(spec, 512, np.random.default_rng(42))
+        b, _ = synthesize_ofbm_increments(spec, 512, np.random.default_rng(42))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_white_noise_case(self):
@@ -149,7 +149,7 @@ class TestSynthesis:
     def test_clipping_flagged_for_inadmissible_cross_covariance(self):
         spec = OfBmSpec(hurst=(0.1, 0.9),
                         point_cov=np.array([[1.0, 0.99], [0.99, 1.0]]))
-        series, diag = synthesize_ofbm_increments(spec, 256, 3)
+        series, diag = synthesize_ofbm_increments(spec, 256, np.random.default_rng(3))
         assert diag.clipped_energy > 1e-6
         assert diag.warning is not None
 
@@ -204,10 +204,11 @@ class TestCachedSynthesis:
 
     def test_cached_draw_equals_a_fresh_one_bit_for_bit(self):
         for spec, n, seed in CACHED_DRAWS:
-            synthesize_ofbm_increments(spec, n, 0)  # the root is now cached
-            cached, diag = synthesize_ofbm_increments(spec, n, seed)
+            # the root is now cached
+            synthesize_ofbm_increments(spec, n, np.random.default_rng(0))
+            cached, diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
             _embedding_root.cache_clear()
-            fresh, fresh_diag = synthesize_ofbm_increments(spec, n, seed)
+            fresh, fresh_diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
             assert fresh.values.tobytes() == cached.values.tobytes(), (spec.hurst, n, seed)
             assert fresh_diag == diag
 
@@ -221,7 +222,7 @@ class TestCachedSynthesis:
             assert got.tobytes() == ref.tobytes(), spec.hurst
 
     def test_cached_root_is_read_only(self):
-        synthesize_ofbm_increments(FIG4_LIKE, 1024, 1)
+        synthesize_ofbm_increments(FIG4_LIKE, 1024, np.random.default_rng(1))
         half, _ = _embedding_root(FIG4_LIKE.hurst, FIG4_LIKE.point_cov.tobytes(), 1024)
         assert half.shape == (1024 + 1, 3, 3)
         assert half.flags.c_contiguous  # the shaping products depend on the layout
@@ -232,15 +233,22 @@ class TestCachedSynthesis:
 
 class TestMixing:
     def test_canonical(self):
-        m = make_mixing_matrix(MixingSpec("canonical", p=4, r=2))
+        m = make_mixing_matrix(MixingSpec("canonical", p=4, r=2), np.random.default_rng(0))
         np.testing.assert_array_equal(m, np.eye(4, 2))
 
     def test_random_unit_columns(self):
-        m = make_mixing_matrix(MixingSpec("random_unit_columns", p=100, r=3), seed=7)
+        m = make_mixing_matrix(MixingSpec("random_unit_columns", p=100, r=3),
+                               np.random.default_rng(7))
         np.testing.assert_allclose(np.linalg.norm(m, axis=0), 1.0, rtol=0, atol=1e-12)
 
+    def test_generator_is_required(self):
+        # no unseeded fallback: every draw comes from its caller's generator
+        with pytest.raises(TypeError, match="rng"):
+            make_mixing_matrix(MixingSpec("random_unit_columns", 4, 2))
+
     def test_explicit_identity(self):
-        m = make_mixing_matrix(MixingSpec("explicit", p=3, r=3, matrix=np.eye(3)))
+        m = make_mixing_matrix(MixingSpec("explicit", p=3, r=3, matrix=np.eye(3)),
+                               np.random.default_rng(0))
         np.testing.assert_array_equal(m, np.eye(3))
 
     def test_explicit_requires_unit_columns(self):
@@ -254,18 +262,20 @@ class TestMixing:
 
 class TestNoise:
     def test_none_is_zero(self):
-        z = synthesize_noise(NoiseSpec("none"), p=3, n=100, seed=1)
+        z = synthesize_noise(NoiseSpec("none"), 3, 100, np.random.default_rng(1))
         np.testing.assert_array_equal(z.values, np.zeros((3, 100)))
 
     def test_iid_variance(self):
-        z = synthesize_noise(NoiseSpec("iid_gaussian", variance=1.0), p=2, n=16384, seed=2)
+        z = synthesize_noise(NoiseSpec("iid_gaussian", variance=1.0), 2, 16384,
+                             np.random.default_rng(2))
         for row in z.values:
             # variance of the sample variance is 2/n for unit Gaussians
             assert abs(row.var() - 1.0) < 3 * np.sqrt(2.0 / row.size)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_iid_is_the_scaled_draw_bit_for_bit(self, seed):
-        z = synthesize_noise(NoiseSpec("iid_gaussian", variance=2.5), 3, 257, seed)
+        z = synthesize_noise(NoiseSpec("iid_gaussian", variance=2.5), 3, 257,
+                             np.random.default_rng(seed))
         expect = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257))
         assert z.values.tobytes() == expect.tobytes()
 
@@ -275,7 +285,7 @@ class TestNoise:
         burn = _arma_burn_in(spec)
         eps = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257 + burn))
         _arma_filter(eps, spec.ar, spec.ma)
-        z = synthesize_noise(spec, 3, 257, seed)
+        z = synthesize_noise(spec, 3, 257, np.random.default_rng(seed))
         assert z.values.tobytes() == eps[:, burn:].tobytes()
 
     def test_ar1_autocorrelation(self):

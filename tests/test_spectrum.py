@@ -16,6 +16,21 @@ from oracles import jacobi_eigen
 
 ARMA_WIDE = Path(__file__).resolve().parent.parent / "perfbench/workloads/arma-wide.json"
 STUDIES = ["fig1", "fig3", "fig4", "arma-wide"]
+FLOOR = 1e-10
+HAAR = make_filter_bank("haar", 1)
+
+
+def log2_and_flags(lam):
+    """The log2 eigenvalues and flags that log_eigen_spectrum makes of the
+    eigenvalues lam at FLOOR, as bytes."""
+    flags = lam < FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
+    return log2lam.tobytes(), flags.tobytes()
+
+
+def spectrum_bytes(spectrum):
+    return spectrum.log2_eigenvalues.tobytes(), spectrum.zero_flags.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +88,8 @@ class TestSymEigen:
     @staticmethod
     def sym_eigen(m):
         lam, vec = np.linalg.eigh(m)
-        spectrum = log_eigen_spectrum([WaveletCovariance(j=1, n_j=1, matrix=m)])
-        np.testing.assert_array_equal(spectrum.eigenvalues[0], lam)
+        spectrum = log_eigen_spectrum([WaveletCovariance(j=1, n_j=1, matrix=m)], FLOOR)
+        assert spectrum_bytes(spectrum) == log2_and_flags(lam[None])
         return lam, vec
 
     def test_two_by_two(self):
@@ -127,11 +142,10 @@ class TestJacobiOracle:
 
 
 class TestLogEigenSpectrum:
-    def _spectrum_from_eigs(self, per_octave, j1=1, floor=1e-10, counts=None):
-        covs = []
-        for off, eigs in enumerate(per_octave):
-            covs.append(wavelet_covariance(j1 + off, self._details(eigs)))
-        return log_eigen_spectrum(covs, floor=floor)
+    def _spectrum_from_eigs(self, per_octave):
+        covs = [wavelet_covariance(j, self._details(eigs))
+                for j, eigs in enumerate(per_octave, start=1)]
+        return log_eigen_spectrum(covs, FLOOR)
 
     @staticmethod
     def _details(eigs):
@@ -158,7 +172,7 @@ class TestLogEigenSpectrum:
         # p > n_j forces at least p - n_j zero eigenvalues
         rng = np.random.default_rng(5)
         cov = wavelet_covariance(3, rng.standard_normal((6, 2)))
-        spec = log_eigen_spectrum([cov])
+        spec = log_eigen_spectrum([cov], FLOOR)
         assert spec.zero_flags[0].sum() >= 4
 
     def test_positive_floor_required(self):
@@ -169,21 +183,22 @@ class TestLogEigenSpectrum:
     def test_from_pyramid_counts(self):
         rng = np.random.default_rng(7)
         series = MultivariateSeries(rng.standard_normal((3, 512)))
-        pyr = pyramid_transform(series, make_filter_bank("haar"), 4)
-        spec = log_eigen_spectrum([wavelet_covariance(j, pyr.detail(j)) for j in (2, 3, 4)])
-        assert spec.eigenvalues.shape == (3, 3)
+        pyr = pyramid_transform(series, HAAR, 4)
+        spec = log_eigen_spectrum([wavelet_covariance(j, pyr.detail(j)) for j in (2, 3, 4)],
+                                  FLOOR)
+        assert spec.log2_eigenvalues.shape == spec.zero_flags.shape == (3, 3)
         assert spec.counts == tuple(pyr.counts[j] for j in (2, 3, 4))
 
 
 def assert_batched_eigh_is_per_octave(covs):
     per_octave = np.stack([np.linalg.eigh(c.matrix)[0] for c in covs])
-    batched = log_eigen_spectrum(covs).eigenvalues
-    assert batched.tobytes() == per_octave.tobytes()
+    assert spectrum_bytes(log_eigen_spectrum(covs, FLOOR)) == log2_and_flags(per_octave)
 
 
 class TestBatchedEigh:
-    """One eigh over the (octaves, p, p) stack gives the bits of one eigh per
-    octave; the fixtures' byte-identical outputs rest on this."""
+    """One eigh over the (octaves, p, p) stack gives the log2 eigenvalues and
+    flags of one eigh per octave, bit for bit; the fixtures' byte-identical
+    outputs rest on this."""
 
     @pytest.mark.parametrize("name", STUDIES)
     def test_study_replications(self, name):

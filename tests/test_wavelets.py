@@ -10,21 +10,26 @@ from eigenwave.wavelets import (_analysis_step, make_filter_bank, pyramid_transf
                                 valid_count)
 
 SQRT2 = np.sqrt(2.0)
+HAAR = make_filter_bank("haar", 1)
 
 
 class TestFilterBank:
     def test_haar_values(self):
         # By hand from u_k = 2^{-1/2} integral phi(t/2) phi(t-k) dt with
         # phi the unit box: u = (1/sqrt2, 1/sqrt2), v = (1/sqrt2, -1/sqrt2).
-        fp = make_filter_bank("haar")
+        fp = make_filter_bank("haar", 1)
         np.testing.assert_allclose(fp.low_pass, [1 / SQRT2, 1 / SQRT2], rtol=0, atol=1e-15)
         np.testing.assert_allclose(fp.high_pass, [1 / SQRT2, -1 / SQRT2], rtol=0, atol=1e-15)
 
     def test_haar_equals_daubechies_one(self):
-        haar = make_filter_bank("haar")
         db1 = make_filter_bank("daubechies", 1)
-        np.testing.assert_array_equal(haar.low_pass, db1.low_pass)
-        np.testing.assert_array_equal(haar.high_pass, db1.high_pass)
+        np.testing.assert_array_equal(HAAR.low_pass, db1.low_pass)
+        np.testing.assert_array_equal(HAAR.high_pass, db1.high_pass)
+
+    def test_vanishing_moments_are_required(self):
+        # no db1 fallback: the config's default, db2, is stated once, in SCHEMA
+        with pytest.raises(TypeError, match="n_vanishing"):
+            make_filter_bank("daubechies")
 
     @pytest.mark.parametrize("n_vanishing", range(1, 11))
     def test_invariants(self, n_vanishing):
@@ -160,7 +165,7 @@ class TestPyramidFromJMin:
     def test_j_min_outside_one_to_j_max_rejected(self, j_min):
         series = MultivariateSeries(np.ones((1, 64)))
         with pytest.raises(ValueError, match="1 <= j_min <= j_max"):
-            pyramid_transform(series, make_filter_bank("haar"), 4, j_min=j_min)
+            pyramid_transform(series, HAAR, 4, j_min=j_min)
 
 
 class TestPyramid:
@@ -174,7 +179,7 @@ class TestPyramid:
     def test_haar_four_points(self):
         # D(2,k) = (Y(2k) - Y(2k+1))/sqrt2 by direct convolution.
         series = MultivariateSeries(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        pyr = pyramid_transform(series, make_filter_bank("haar"), 1)
+        pyr = pyramid_transform(series, HAAR, 1)
         np.testing.assert_allclose(pyr.detail(1), [[-1 / SQRT2, -1 / SQRT2]],
                                    rtol=0, atol=1e-15)
 
@@ -191,7 +196,7 @@ class TestPyramid:
         rng = np.random.default_rng(7)
         y = rng.standard_normal(512)
         series = MultivariateSeries(y[None, :])
-        pyr = pyramid_transform(series, make_filter_bank("haar"), 1)
+        pyr = pyramid_transform(series, HAAR, 1)
         d = pyr.detail(1)[0]
         a = (y[0::2] + y[1::2]) / SQRT2
         assert abs((a ** 2).sum() + (d ** 2).sum() - (y ** 2).sum()) < 1e-10
@@ -203,7 +208,7 @@ class TestPyramid:
         rng = np.random.default_rng(11)
         y = rng.standard_normal(300)
         series = MultivariateSeries(y[None, :])
-        pyr = pyramid_transform(series, make_filter_bank("haar"), j)
+        pyr = pyramid_transform(series, HAAR, j)
         got = pyr.detail(j)[0]
         block, half = 2 ** j, 2 ** (j - 1)
         for k in range(got.size):
@@ -249,7 +254,7 @@ class TestPyramid:
 
     def test_truncation_flagged(self):
         series = MultivariateSeries(np.ones((1, 64)))
-        pyr = pyramid_transform(series, make_filter_bank("haar"), 12)
+        pyr = pyramid_transform(series, HAAR, 12)
         assert pyr.truncated
         assert pyr.max_octave < 12
 
