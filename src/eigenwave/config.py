@@ -86,7 +86,7 @@ SCHEMA = {
                 "point_cov": _POINT_COV,
                 "mixing": _MIXING,
                 "noise": _NOISE,
-                "n": {"type": "integer", "minimum": 4},
+                "n": {"type": "integer", "minimum": 4, "maximum": 2 ** 32},
                 "p": {"type": "integer", "minimum": 1},
             },
         },
@@ -153,7 +153,9 @@ _BOUNDS = {
 def _errors(value, rule: dict, path: tuple = ()):
     """Every (path, message) by which value breaks rule, worded as jsonschema
     4.26 words them: the rule's keywords in dict order, each check skipped
-    when value is not of the type it applies to. Raises ValueError on a
+    when value is not of the type it applies to. The bounds apply to any int
+    or float, as jsonschema's own number type has it, so an integer beyond
+    the float range still meets its maximum. Raises ValueError on a
     keyword the walker does not implement, so none is silently ignored."""
     for key, arg in rule.items():
         if key == "type":
@@ -165,7 +167,7 @@ def _errors(value, rule: dict, path: tuple = ()):
                 yield path, f"{value!r} is not one of {arg!r}"
         elif key in _BOUNDS:
             breaks, words = _BOUNDS[key]
-            if _TYPES["number"](value) and breaks(value, arg):
+            if type(value) in (int, float) and breaks(value, arg):
                 yield path, f"{value!r} {words} {arg!r}"
         elif key in ("minItems", "minLength"):
             if isinstance(value, list if key == "minItems" else str) and len(value) < arg:

@@ -18,6 +18,12 @@ from .series import MultivariateSeries
 PSD_TOL = 1e-10
 UNIT_COLUMN_TOL = 1e-12
 CLIP_ENERGY_TOL = 1e-6
+# Longest ARMA burn-in a noise model may need: AR roots closer to the unit
+# circle than about 1e-5 would otherwise draw and filter without bound
+MAX_ARMA_BURN_IN = 2 ** 20
+# A block just below the 32 MiB up to which freeing it raises glibc's mmap
+# threshold; see _embedding_root
+_HEAP_BLOCK_BYTES = 31 << 20
 # ARMA noise is filtered in blocks of this many samples, this many at a time
 _ARMA_BLOCK = 32
 _ARMA_CHUNK = 2048
@@ -122,6 +128,11 @@ class NoiseSpec:
                 raise ValueError(
                     f"nonstationary AR polynomial: root magnitudes {np.abs(roots)}"
                 )
+        if self.kind == "arma" and (burn := _arma_burn_in(self)) > MAX_ARMA_BURN_IN:
+            raise ValueError(
+                f"ARMA burn-in of {burn} samples exceeds the limit of {MAX_ARMA_BURN_IN}: "
+                f"an AR root within about 1e-5 of the unit circle, or over 10^5 coefficients"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,15 +181,9 @@ def _circulant_spectrum(hurst: tuple, point_cov: np.ndarray, n: int):
     return spectra
 
 
-@lru_cache(maxsize=1)
-def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
+def _factor_embedding_root(hurst: tuple, point_cov: bytes, n: int):
     """Square roots of the embedding's spectral matrices at frequencies
-    0..n, read-only, and the relative spectral energy clipped to make them.
-
-    They depend only on the model and n, so every draw of a study shares
-    them; keyed on the bytes of point_cov, since ndarrays do not hash. Built
-    at the first draw of each process, never sent to pool workers.
-    """
+    0..n, and the relative spectral energy clipped to make them."""
     r = len(hurst)
     cov = np.frombuffer(point_cov, dtype=np.float64).reshape(r, r)
     lam, vec = np.linalg.eigh(_circulant_spectrum(hurst, cov, n))  # (n+1, r, r)
@@ -186,8 +191,36 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
     total = np.abs(lam).sum()
     clip_energy = float(clipped / total) if total > 0 else 0.0
     half = vec * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
-    half.flags.writeable = False
     return half, clip_energy
+
+
+@lru_cache(maxsize=1)
+def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
+    """Square roots of the embedding's spectral matrices at frequencies
+    0..n, read-only, and the relative spectral energy clipped to make them.
+
+    Factored once per model and machine and kept on disk by `rootcache`; a
+    process loads the exact bytes the factorization wrote, and holds the
+    last root for its later draws. Keyed on the bytes of point_cov, since
+    ndarrays do not hash; never sent to pool workers.
+    """
+    from . import rootcache  # at the first draw: importing eigenwave loads none of it
+
+    # glibc's malloc maps each block above its mmap threshold from fresh
+    # pages, and raises the threshold to the size of such a block when it is
+    # freed, up to 32 MiB (mallopt(3)). Freeing one block of that size makes
+    # a replication's multi-megabyte arrays reuse heap memory: without it a
+    # process that loads the fig1 root, and so frees no large temporaries,
+    # takes ~4,800 page faults per replication. Under another allocator it
+    # costs one allocation.
+    np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)
+    path, key = rootcache.entry(hurst, point_cov, n)
+    root = rootcache.load(path, key, (n + 1, len(hurst), len(hurst)))
+    if root is None:
+        root = _factor_embedding_root(hurst, point_cov, n)
+        rootcache.store(path, key, *root)
+    root[0].flags.writeable = False
+    return root
 
 
 def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator):

@@ -22,6 +22,8 @@ from eigenwave.config import (PRESETS, SCHEMA, ConfigError, build_mc_config, pre
 from eigenwave.montecarlo import draw_observation
 from eigenwave.series import (MultivariateSeries, read_series_binary, read_series_csv,
                               write_series_binary, write_series_csv)
+from eigenwave import rootcache
+from eigenwave.simulate import _embedding_root, _factor_embedding_root
 
 MINIMAL = {
     "model": {
@@ -373,6 +375,9 @@ INVALID_MODELS = {
     "hurst count": ({"hurst": [0.4, 0.6]}, "model.hurst"),
     "n not a power of two": ({"n": 1000}, "model.n"),
     "n written as a float": ({"n": 1024.0}, "model.n"),
+    "n beyond the float range": ({"n": 2 ** 1100}, "model.n"),
+    "AR root within 1e-10 of the unit circle": (
+        {"noise": {"kind": "arma", "ar": [0.9999999999]}}, "model.noise"),
 }
 
 
@@ -404,6 +409,36 @@ def test_ratio_derived_p_below_r_is_config_error(capsys, command, j2):
                             {"c.json": json.dumps(doc).encode()}, capsys)
     assert (error["code"], error["path"]) == (2, "model.p")
     assert error["error"] == f"model.p: observation dimension {int(j2 == 8)} below latent r=3"
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@pytest.mark.parametrize("explicit_p", [True, False])
+def test_n_beyond_the_float_range_is_config_error(capsys, command, explicit_p):
+    # the ratio-derived p multiplies n by a float, and an explicit p let the
+    # draw ask for an array of n samples
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["model"]["n"] = 2 ** 1100
+    if not explicit_p:
+        del doc["model"]["p"]
+    error = assert_rejected([command, "--config", "c.json", "--out", "out"],
+                            {"c.json": json.dumps(doc).encode()}, capsys)
+    assert (error["code"], error["path"]) == (2, "model.n")
+    assert error["error"] == f"model.n: {2 ** 1100} is greater than the maximum of {2 ** 32}"
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+def test_unbounded_arma_burn_in_is_config_error(capsys, command):
+    # the AR root 1 + 1e-10 would need a burn-in of about 1e11 samples per row
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["model"]["noise"] = {"kind": "arma", "ar": [0.9999999999]}
+    error = assert_rejected([command, "--config", "c.json", "--out", "out"],
+                            {"c.json": json.dumps(doc).encode()}, capsys)
+    assert (error["code"], error["path"]) == (2, "model.noise")
+    assert error["error"].startswith("model.noise: ARMA burn-in of 99999991736 samples "
+                                     "exceeds the limit of 1048576")
+    # a root 1e-5 outside the unit circle needs 1,000,011 samples, within the limit
+    doc["model"]["noise"]["ar"] = [0.99999]
+    assert build_mc_config(resolve_config(doc)).noise.ar == (0.99999,)
 
 
 # Each override flag writes one config key and is checked like that key;
@@ -600,6 +635,59 @@ class TestSharedDraw:
                             "--out", str(read)], capsys)
         assert code == 0, err
         assert (drawn / "estimate.json").read_bytes() == (read / "estimate.json").read_bytes()
+
+
+def run_cli_process(argv, cwd, cache):
+    """`python -m eigenwave.cli argv` in cwd with XDG_CACHE_HOME=cache;
+    returns the exit code, stderr and every output file's bytes."""
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache),
+           "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "eigenwave.cli", *argv, "--out", "out"],
+                          cwd=cwd, env=env, capture_output=True, timeout=120)
+    files = {path.relative_to(cwd / "out"): path.read_bytes()
+             for path in sorted((cwd / "out").rglob("*")) if path.is_file()}
+    return proc.returncode, proc.stderr, files
+
+
+class TestRootCache:
+    """The embedding root's cache on disk changes no output byte, no stderr
+    byte and no exit code, whether it is cold, warm or unusable."""
+
+    def test_a_cache_home_that_is_a_file_changes_nothing(self, tmp_path):
+        runs = {name: tmp_path / name for name in ("cold", "warm", "unusable")}
+        for run_dir in runs.values():
+            run_dir.mkdir()
+        (tmp_path / "a-file").write_text("x")
+        argv = ["simulate", "--preset", "fig4"]
+        results = [run_cli_process(argv, runs["cold"], tmp_path / "cache"),
+                   run_cli_process(argv, runs["warm"], tmp_path / "cache"),
+                   run_cli_process(argv, runs["unusable"], tmp_path / "a-file")]
+        assert len(list((tmp_path / "cache/eigenwave").iterdir())) == 1
+        for code, stderr, files in results:
+            assert (code, stderr) == (0, b"")
+            assert files == results[0][2] and files
+        assert (tmp_path / "a-file").read_text() == "x"
+
+    def test_pool_workers_on_a_cold_cache_leave_one_entry(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _embedding_root.cache_clear()  # the forked workers must not inherit a root
+        argv = ["mc", "--preset", "fig4", "--reps", "4", "--seed", "41"]
+        code, _, err = run([*argv, "--workers", "2", "--out", str(tmp_path / "w2")], capsys)
+        assert code == 0, err
+        [path] = (tmp_path / "cache/eigenwave").iterdir()
+        with np.load(path) as stored:
+            key = str(stored["key"])
+        model = build_mc_config(resolve_config(preset_config("fig4"))).model
+        half, clip_energy = _factor_embedding_root(model.hurst, model.point_cov.tobytes(),
+                                                   4096)
+        stored_half, stored_clip = rootcache.load(str(path), key, (4097, 3, 3))
+        assert stored_half.tobytes() == half.tobytes() and stored_clip == clip_energy
+        code, _, err = run([*argv, "--workers", "1", "--out", str(tmp_path / "w1")], capsys)
+        assert code == 0, err
+        _embedding_root.cache_clear()
+        for name in ("records.ndjson", "summary.json"):
+            assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -885,10 +973,22 @@ def test_flag_of_another_command_is_rejected(capsys, argv):
 
 # The config walker against jsonschema, which it replaced and which stays a
 # test-only oracle, with the same integer and number rules restated: every
-# rejected config keeps the path and message jsonschema gave it.
+# rejected config keeps the path and message jsonschema gave it. The bounds
+# keep jsonschema's own number type, which admits integers of any size.
+DRAFT = jsonschema.Draft202012Validator
+PLAIN = DRAFT({})
+
+
+def _bound(keyword):
+    check = DRAFT.VALIDATORS[keyword]
+    return lambda validator, arg, value, rule: check(PLAIN, arg, value, rule)
+
+
 ORACLE = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+    DRAFT,
+    validators={keyword: _bound(keyword) for keyword in
+                ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")},
+    type_checker=DRAFT.TYPE_CHECKER.redefine_many({
         "integer": lambda checker, x: type(x) is int,
         "number": lambda checker, x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
     }),
@@ -987,6 +1087,10 @@ def test_walker_reports_what_jsonschema_reports(doc):
      "model.hurst.0: 1.0 is greater than or equal to the maximum of 1"),
     (_preset_with(("analysis", "kappa_grid"), []), "analysis.kappa_grid: [] should be non-empty"),
     (_preset_with(("analysis", "j1"), 0), "analysis.j1: 0 is less than the minimum of 1"),
+    (_preset_with(("model", "n"), 2 ** 1100),
+     f"model.n: {2 ** 1100} is greater than the maximum of {2 ** 32}"),
+    (_preset_with(("model", "n"), -10 ** 400),
+     f"model.n: {-10 ** 400} is less than the minimum of 4"),
     (_preset_with(("model", "point_cov"), "x"),
      "model.point_cov: 'x' is not valid under any of the given schemas"),
     (_preset_with(("model", "point_cov"), {"toeplitz": [1.0], "x": 1}, base="fig1"),
@@ -1024,6 +1128,16 @@ def test_schema_uses_only_keywords_the_walker_implements():
 def test_walker_rejects_a_keyword_it_does_not_implement(rule):
     with pytest.raises(ValueError, match="unsupported keyword"):
         list(config._errors({}, rule))
+
+
+def test_import_loads_no_module_only_the_root_cache_needs():
+    # numpy itself loads zipfile and tempfile
+    script = ("import sys, eigenwave.cli\n"
+              "print('eigenwave.rootcache' in sys.modules or 'hashlib' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_cli_loads_neither_jsonschema_nor_the_process_pool():

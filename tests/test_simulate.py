@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +10,14 @@ import pytest
 from oracles import (arma_noise_reference, circulant_spectrum_reference,
                      synthesize_ofbm_reference)
 
+from eigenwave import rootcache, simulate
 from eigenwave.config import build_mc_config, preset_config, resolve_config
 from eigenwave.montecarlo import draw_observation
 from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 SynthesisDiagnostics, _arma_block_operators,
                                 _arma_burn_in, _arma_filter, _circulant_spectrum,
-                                _embedding_root,
+                                _embedding_root, _factor_embedding_root,
                                 assemble_observations, cumulative_path,
                                 fgn_cross_covariance, make_mixing_matrix,
                                 synthesize_noise, synthesize_ofbm_increments)
@@ -202,15 +207,20 @@ class TestCachedSynthesis:
             assert np.abs(series.values - ref.T).max() <= bound, (spec.hurst, n, seed)
             assert diag == SynthesisDiagnostics(clip_energy, warning), (spec.hurst, n, seed)
 
-    def test_cached_draw_equals_a_fresh_one_bit_for_bit(self):
+    def test_cached_draw_equals_a_fresh_one_bit_for_bit(self, root_cache, monkeypatch):
         for spec, n, seed in CACHED_DRAWS:
-            # the root is now cached
+            # the root is now cached in memory and on disk
             synthesize_ofbm_increments(spec, n, np.random.default_rng(0))
             cached, diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
             _embedding_root.cache_clear()
-            fresh, fresh_diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
-            assert fresh.values.tobytes() == cached.values.tobytes(), (spec.hurst, n, seed)
-            assert fresh_diag == diag
+            loaded, loaded_diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_embedding_root", _factor_embedding_root)
+                fresh, fresh_diag = synthesize_ofbm_increments(spec, n,
+                                                               np.random.default_rng(seed))
+            assert (fresh.values.tobytes() == cached.values.tobytes()
+                    == loaded.values.tobytes()), (spec.hurst, n, seed)
+            assert fresh_diag == diag == loaded_diag
 
     @pytest.mark.parametrize("n", [2, 4, 256, 4096])
     def test_spectrum_equals_the_per_lag_construction(self, n):
@@ -229,6 +239,137 @@ class TestCachedSynthesis:
         assert not half.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             half[0, 0, 0] = 1.0
+
+
+@pytest.fixture
+def root_cache(tmp_path, monkeypatch):
+    """An empty root cache directory for one test, with no root held in
+    memory before or after it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _embedding_root.cache_clear()
+    yield tmp_path / "eigenwave"
+    _embedding_root.cache_clear()
+
+
+def fresh_root(spec, n):
+    """The root as a new process gets it: from disk, or factored and stored."""
+    _embedding_root.cache_clear()
+    return _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
+
+
+def refuse_to_factor(*args):
+    raise AssertionError("factored a root the cache holds")
+
+
+def flip_a_data_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF  # inside the root, by far the largest member
+    path.write_bytes(bytes(data))
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _rewrite(path, **members):
+    with np.load(path) as stored:
+        doc = {name: stored[name] for name in stored.files}
+    doc.update(members)
+    np.savez(path, **doc)
+
+
+def wrong_shape(path):
+    _rewrite(path, root=np.zeros((1024, 3, 3)))
+
+
+def foreign_key(path):
+    # as a machine whose kernels round differently would have stored it
+    with np.load(path) as stored:
+        key = str(stored["key"])
+    _rewrite(path, key=np.str_(key.replace(np.__version__, "0.0.0")),
+             root=np.zeros((1025, 3, 3)))
+
+
+class TestRootCache:
+    """Each root is factored once per machine and kept on disk; a process
+    that finds it loads the exact bytes the factorization wrote, and one
+    that finds a damaged or foreign file factors it again."""
+
+    @pytest.mark.parametrize("spec", [FIG1_LIKE, FIG4_CORRELATED, CLIPPED],
+                             ids=["fig1", "fig4-correlated", "clipped"])
+    def test_cold_and_warm_roots_equal_the_factorization(self, root_cache, monkeypatch, spec):
+        half, clip_energy = _factor_embedding_root(spec.hurst, spec.point_cov.tobytes(), 1024)
+        cold = fresh_root(spec, 1024)
+        assert len(list(root_cache.iterdir())) == 1
+        monkeypatch.setattr(simulate, "_factor_embedding_root", refuse_to_factor)
+        warm = fresh_root(spec, 1024)
+        for got_half, got_clip in (cold, warm):
+            assert got_half.tobytes() == half.tobytes()
+            assert np.float64(got_clip).tobytes() == np.float64(clip_energy).tobytes()
+            assert got_half.flags.c_contiguous and not got_half.flags.writeable
+
+    @pytest.mark.parametrize("damage", [flip_a_data_byte, truncate, wrong_shape, foreign_key])
+    def test_a_damaged_or_foreign_file_is_rebuilt(self, root_cache, monkeypatch, damage):
+        spec, shape = FIG4_CORRELATED, (1025, 3, 3)
+        half, clip_energy = fresh_root(spec, 1024)
+        [path] = root_cache.iterdir()
+        with np.load(path) as stored:
+            key = str(stored["key"])
+        damage(path)
+        assert rootcache.load(str(path), key, shape) is None
+        factored = []
+        monkeypatch.setattr(simulate, "_factor_embedding_root",
+                            lambda *args: factored.append(args) or _factor_embedding_root(*args))
+        rebuilt = fresh_root(spec, 1024)
+        assert len(factored) == 1
+        stored_half, stored_clip = rootcache.load(str(path), key, shape)  # rewritten
+        for got_half, got_clip in (rebuilt, (stored_half, stored_clip)):
+            assert got_half.tobytes() == half.tobytes() and got_clip == clip_energy
+        assert list(root_cache.iterdir()) == [path]  # no temporary file left
+
+    def test_hurst_point_cov_and_n_each_get_an_entry(self, root_cache, monkeypatch):
+        other_hurst = OfBmSpec(hurst=(0.25, 0.5, 0.8), point_cov=FIG4_CORRELATED.point_cov)
+        models = [(FIG4_CORRELATED, 256), (FIG4_LIKE, 256), (other_hurst, 256),
+                  (FIG4_CORRELATED, 512)]
+        expected = [_factor_embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
+                    for spec, n in models]
+        for spec, n in models:
+            fresh_root(spec, n)
+        assert len(list(root_cache.iterdir())) == len(models)
+        monkeypatch.setattr(simulate, "_factor_embedding_root", refuse_to_factor)
+        for (spec, n), (half, clip_energy) in zip(models, expected):
+            got_half, got_clip = fresh_root(spec, n)
+            assert got_half.tobytes() == half.tobytes() and got_clip == clip_energy
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mmap threshold is glibc's")
+    def test_draws_after_a_load_fault_in_no_more_pages_than_after_a_build(self, root_cache):
+        # without the block _embedding_root frees, each warm draw below takes
+        # ~2,200 minor page faults, against none after the factorization
+        script = (
+            "import resource, numpy as np\n"
+            "from eigenwave.simulate import OfBmSpec, synthesize_ofbm_increments\n"
+            "spec = OfBmSpec(hurst=(0.1, 0.3, 0.5, 0.6, 0.8, 0.9), point_cov=np.eye(6))\n"
+            "for seed in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    synthesize_ofbm_increments(spec, 2 ** 14, np.random.default_rng(seed))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parent.parent)}
+        cold, warm = (int(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                         capture_output=True, text=True, timeout=60).stdout)
+                      for _ in range(2))
+        assert len(list(root_cache.iterdir())) == 1
+        assert warm <= cold + 100, (cold, warm)
+
+    def test_an_unusable_cache_directory_leaves_the_root(self, tmp_path, root_cache,
+                                                         monkeypatch):
+        (tmp_path / "file").write_text("x")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        half, clip_energy = fresh_root(FIG4_CORRELATED, 1024)
+        expected = _factor_embedding_root(FIG4_CORRELATED.hurst,
+                                          FIG4_CORRELATED.point_cov.tobytes(), 1024)
+        assert half.tobytes() == expected[0].tobytes() and clip_energy == expected[1]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
 
 
 class TestMixing:
