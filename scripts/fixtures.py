@@ -17,7 +17,7 @@ on the fixtures when their listings diff clean, e.g.
 
 The runs keep the embedding roots they factor in DIR/.cache (their
 XDG_CACHE_HOME), outside every run directory, so the first run of each
-model is always cold. The thirty runs take about 12 s on two cores. This
+model is always cold. The thirty-two runs take about 12 s on two cores. This
 is a tool for refactors that must keep every output byte; it is not part
 of the test suite.
 """
@@ -94,6 +94,13 @@ NOISELESS_HAAR = {
     "mc": {"replications": 12},
 }
 
+# ARMA noise whose filter overflows: the draw's Y is not finite, so simulate
+# writes no series and both runs exit 3 with one JSON line on stderr, no
+# numpy warning before it, from the CLI or from the pool's workers.
+OVERFLOW = {**ARMA_COMPONENTS,
+            "model": {**ARMA_COMPONENTS["model"],
+                      "noise": {"kind": "arma", "variance": 1e300, "ma": [1e300]}}}
+
 # One config per kind of schema rule, each rejected with exit 2: the listing
 # pins the bytes of the path and message it reports. p-before-octaves has p
 # below r and an infeasible octave range: model.p is reported, not the range.
@@ -114,6 +121,7 @@ CONFIGS = {
     "ks-subsets.json": KS_SUBSETS,
     "arma-components.json": ARMA_COMPONENTS,
     "noiseless-haar.json": NOISELESS_HAAR,
+    "overflow.json": OVERFLOW,
     **{f"rejected-{name}.json": doc for name, doc in REJECTED.items()},
 }
 
@@ -151,6 +159,8 @@ FIXTURES = {
     "mc-clipped": ["mc", "--config", "clipped.json", "--reps", "3", "--workers", "2"],
     "simulate-infeasible": ["simulate", "--config", "infeasible.json"],
     "mc-infeasible": ["mc", "--config", "infeasible.json", "--workers", "2"],
+    "simulate-overflow": ["simulate", "--config", "overflow.json"],
+    "mc-overflow-w2": ["mc", "--config", "overflow.json", "--workers", "2"],
     **{f"simulate-rejected-{name}": ["simulate", "--config", f"rejected-{name}.json"]
        for name in REJECTED},
 }

@@ -21,8 +21,8 @@ from .estimators import OctaveRangeError, estimate_series, result_to_json, write
 from .montecarlo import (draw_observation, gamma_plot, ks_subset_average,
                          run_replications, summarize, write_gamma_csv,
                          write_ks_json, write_records_ndjson, write_sweep_csv)
-from .series import (MultivariateSeries, read_series_binary, read_series_csv,
-                     write_json, write_series_binary, write_series_csv)
+from .series import (check_series, read_series_binary, read_series_csv, write_json,
+                     write_series_binary, write_series_csv)
 from .wavelets import make_filter_bank
 
 EXIT_CONFIG = 2
@@ -81,7 +81,7 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_series(series: MultivariateSeries, stem: str, cfg: dict, out: Path) -> None:
+def _write_series(series: np.ndarray, stem: str, cfg: dict, out: Path) -> None:
     formats = cfg["io"]["formats"]
     if "csv" in formats:
         write_series_csv(series, out / f"{stem}.csv")
@@ -94,6 +94,8 @@ def cmd_simulate(args) -> int:
     mc_config = build_mc_config(cfg)
     out = _out_dir(cfg)
     observed, latent, noise, mixing, diagnostics = draw_observation(mc_config, 0)
+    # X and Z are finite when Y is, since P has unit-norm columns
+    check_series(observed)
     if diagnostics.warning:
         print(json.dumps({"warning": diagnostics.warning}), file=sys.stderr)
     _write_series(observed, "series_y", cfg, out)
@@ -105,7 +107,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_series(path: str) -> MultivariateSeries:
+def _read_series(path: str) -> np.ndarray:
     reader = read_series_csv if path.lower().endswith(".csv") else read_series_binary
     try:
         return reader(path)
@@ -219,7 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # the finite check and LinAlgError report an overflowing run; numpy's
+        # warnings would print before its one JSON line, also in forked workers
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc), path=exc.path)
     except OctaveRangeError as exc:

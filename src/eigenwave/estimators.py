@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MultivariateSeries, write_csv
+from .series import check_series, write_csv
 from .spectrum import LogEigenSpectrum, log_eigen_spectrum, wavelet_covariance
-from .wavelets import FilterPair, check_series_length, pyramid_transform, valid_count
+from .wavelets import FilterPair, pyramid_transform, valid_count
 
 UNIFORM = "uniform"
 COUNT_WEIGHTED = "count"
@@ -36,7 +36,9 @@ def check_octave_range(n: int, j1: int, j2: int, filter_length: int) -> None:
     with a filter of this length: the pipeline's one feasibility rule."""
     if j1 < 1 or j1 >= j2:
         raise ValueError(f"need 1 <= j1 < j2 (a slope needs two octaves), got ({j1}, {j2})")
-    check_series_length(n, filter_length)
+    if n < 2 * filter_length:
+        raise ValueError(f"series length {n} too short for filter length "
+                         f"{filter_length}; need at least {2 * filter_length}")
     empty = (j for j in range(1, j2 + 1) if not valid_count(n, j, filter_length))
     feasible = next(empty, j2 + 1) - 1
     if feasible < j2:
@@ -158,16 +160,18 @@ class EstimationResult:
         return self.ell_hat.size
 
 
-def estimate_series(series: MultivariateSeries, filter_pair: FilterPair,
+def estimate_series(series: np.ndarray, filter_pair: FilterPair,
                     j1: int, j2: int, scheme: str, floor: float, kappa: float,
                     r: int | None) -> EstimationResult:
     """Full pipeline: pyramid, per-octave covariances, eigenvalues,
     regression, diagnostic and effective dimension.
 
     When r is not None it fixes how many top exponent estimates are
-    reported; otherwise the estimated dimension is used.
+    reported; otherwise the estimated dimension is used. The p x n series
+    is checked here with check_series.
     """
-    check_octave_range(series.n, j1, j2, filter_pair.length)
+    series = check_series(series)
+    check_octave_range(series.shape[1], j1, j2, filter_pair.length)
     pyramid = pyramid_transform(series, filter_pair, j2, j_min=j1)
     covs = [wavelet_covariance(j, pyramid.detail(j)) for j in range(j1, j2 + 1)]
     spectrum = log_eigen_spectrum(covs, floor=floor)

@@ -1,7 +1,8 @@
-"""Multivariate time series container and file formats.
+"""Multivariate time series file formats and the finite-value rule.
 
-A series is a p x n real matrix: rows are components, columns are time
-points. Two on-disk formats are supported: a plain CSV with a time column,
+A series is a p x n float64 array: rows are components, columns are time
+points. check_series holds the rule every series that enters the program
+meets. Two on-disk formats are supported: a plain CSV with a time column,
 and a compact binary layout (16-byte header followed by row-major
 little-endian float64 data). Result documents are pretty-printed JSON.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +18,17 @@ BINARY_MAGIC = b"MVS1"
 _HEADER = struct.Struct("<4sIQ")  # magic, p (u32), n (u64); 16 bytes
 
 
-@dataclass(frozen=True)
-class MultivariateSeries:
-    """A p x n matrix of observations, rows = components, columns = time."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"series must be a 2-d array, got shape {values.shape}")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"series must be non-empty, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("series contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
+def check_series(values) -> np.ndarray:
+    """The values as a float64 array, checked once where a series enters:
+    read from a file, passed to estimate_series, or drawn for writing."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(f"series must be a 2-d array, got shape {values.shape}")
+    if values.shape[0] < 1 or values.shape[1] < 1:
+        raise ValueError(f"series must be non-empty, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("series contains non-finite entries")
+    return values
 
 
 def write_csv(path, header, rows) -> None:
@@ -56,13 +44,13 @@ def _csv_cell(x) -> str:
     return str(x) if isinstance(x, (str, int)) else repr(float(x))
 
 
-def write_series_csv(series: MultivariateSeries, path) -> None:
-    """Write a series as CSV with columns t, y_1, ..., y_p."""
-    header = ["t", *(f"y_{i + 1}" for i in range(series.p))]
-    write_csv(path, header, ((t, *col) for t, col in enumerate(series.values.T.tolist())))
+def write_series_csv(series: np.ndarray, path) -> None:
+    """Write a p x n series as CSV with columns t, y_1, ..., y_p."""
+    header = ["t", *(f"y_{i + 1}" for i in range(series.shape[0]))]
+    write_csv(path, header, ((t, *col) for t, col in enumerate(series.T.tolist())))
 
 
-def read_series_csv(path) -> MultivariateSeries:
+def read_series_csv(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t":
@@ -76,17 +64,17 @@ def read_series_csv(path) -> MultivariateSeries:
             cols.append([float(x) for x in parts[1:]])
     if not cols:
         raise ValueError(f"{path}: no data rows")
-    return MultivariateSeries(np.array(cols).T)
+    return check_series(np.array(cols).T)
 
 
-def write_series_binary(series: MultivariateSeries, path) -> None:
+def write_series_binary(series: np.ndarray, path) -> None:
     """Write the compact binary layout: 16-byte header, then row-major f64."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(BINARY_MAGIC, series.p, series.n))
-        fh.write(np.ascontiguousarray(series.values, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(BINARY_MAGIC, *series.shape))
+        fh.write(np.ascontiguousarray(series, dtype="<f8").tobytes())
 
 
-def read_series_binary(path) -> MultivariateSeries:
+def read_series_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -99,7 +87,7 @@ def read_series_binary(path) -> MultivariateSeries:
             raise ValueError(f"{path}: header claims {p} x {n} values, "
                              f"file holds {size - _HEADER.size} data bytes")
         data = np.frombuffer(fh.read(), dtype="<f8")
-    return MultivariateSeries(data.reshape(p, n).copy())
+    return check_series(data.reshape(p, n).copy())
 
 
 def write_json(doc, path) -> None:

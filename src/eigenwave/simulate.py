@@ -13,8 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import MultivariateSeries
-
 PSD_TOL = 1e-10
 UNIT_COLUMN_TOL = 1e-12
 CLIP_ENERGY_TOL = 1e-6
@@ -227,7 +225,7 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator)
     """Draw n steps of the stationary increment process by circulant
     matrix embedding.
 
-    Returns (series, diagnostics). The draw is exact whenever every
+    Returns (r x n increments, diagnostics). The draw is exact whenever every
     spectral matrix of the embedding is positive semidefinite; otherwise
     negative spectral eigenvalues are clipped to zero and the discarded
     relative energy is reported, with a warning beyond CLIP_ENERGY_TOL.
@@ -258,12 +256,12 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator)
             f"circulant embedding clipped {clip_energy:.3e} relative spectral "
             f"energy; output covariance is approximate"
         )
-    return MultivariateSeries(increments), SynthesisDiagnostics(clip_energy, warning)
+    return increments, SynthesisDiagnostics(clip_energy, warning)
 
 
-def cumulative_path(increments: MultivariateSeries) -> MultivariateSeries:
+def cumulative_path(increments: np.ndarray) -> np.ndarray:
     """Integrate an increment series into the self-similar path it spans."""
-    return MultivariateSeries(np.cumsum(increments.values, axis=1))
+    return np.cumsum(increments, axis=1)
 
 
 def make_mixing_matrix(spec: MixingSpec, rng: np.random.Generator) -> np.ndarray:
@@ -344,24 +342,24 @@ def _arma_filter(eps: np.ndarray, ar: tuple, ma: tuple) -> None:
 
 
 def synthesize_noise(spec: NoiseSpec, p: int, n: int,
-                     rng: np.random.Generator) -> MultivariateSeries:
+                     rng: np.random.Generator) -> np.ndarray:
     """Draw p independent noise rows of length n."""
     if spec.kind == "none":
-        return MultivariateSeries(np.zeros((p, n)))
+        return np.zeros((p, n))
     sd = np.sqrt(spec.variance)
     burn = 0 if spec.kind == "iid_gaussian" else _arma_burn_in(spec)
     x = rng.standard_normal((p, n + burn))
     x *= sd  # in place: the same bits as sd * x, without a second array
     if burn:
         _arma_filter(x, spec.ar, spec.ma)
-    return MultivariateSeries(x[:, burn:])
+    return x[:, burn:]
 
 
-def assemble_observations(mixing: np.ndarray, latent: MultivariateSeries,
-                          noise: MultivariateSeries) -> MultivariateSeries:
+def assemble_observations(mixing: np.ndarray, latent: np.ndarray,
+                          noise: np.ndarray) -> np.ndarray:
     """Combine latent signal and noise: Y = P X + Z."""
     # The same bits as mixing @ X + Z; Z is left as it is, since callers
     # return and write it beside Y.
-    y = mixing @ latent.values
-    y += noise.values
-    return MultivariateSeries(y)
+    y = mixing @ latent
+    y += noise
+    return y

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import MultivariateSeries
-
 # Extremal-phase Daubechies scaling filters, generated by spectral
 # factorization at 60-digit precision and rounded to float64. Index is the
 # number of vanishing moments; filter length is twice that. N=1 is Haar.
@@ -124,13 +122,6 @@ def valid_count(n: int, j: int, filter_length: int) -> int:
     return count
 
 
-def check_series_length(n: int, filter_length: int) -> None:
-    """The pyramid needs a series of at least two filter lengths."""
-    if n < 2 * filter_length:
-        raise ValueError(f"series length {n} too short for filter length "
-                         f"{filter_length}; need at least {2 * filter_length}")
-
-
 @dataclass(frozen=True)
 class DetailPyramid:
     """Border-free detail coefficients per octave.
@@ -166,26 +157,25 @@ def _analysis_step(a: np.ndarray, low: np.ndarray, high: np.ndarray | None):
     return windows @ low, None if high is None else windows @ high
 
 
-def pyramid_transform(series: MultivariateSeries, filter_pair: FilterPair,
+def pyramid_transform(series: np.ndarray, filter_pair: FilterPair,
                       j_max: int, j_min: int = 1) -> DetailPyramid:
-    """Run the pyramid analysis down to octave j_max, row-wise, keeping the
-    details of octaves j_min..j_max.
+    """Run the pyramid analysis of a p x n series down to octave j_max,
+    row-wise, keeping the details of octaves j_min..j_max.
 
     The approximation sequence at octave 0 is the series itself. Each
     coarser level keeps only coefficients whose filter window lies fully
     inside the previous level, so no sample padding of any kind occurs.
     Octaves below j_min only carry the approximation down; their details
     are never formed. If some octave <= j_max admits no valid coefficient
-    the pyramid stops there and is marked truncated.
+    the pyramid stops there and is marked truncated. The range and length
+    are those check_octave_range accepted: 1 <= j_min <= j_max and n at
+    least two filter lengths.
     """
-    if not 1 <= j_min <= j_max:
-        raise ValueError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    check_series_length(series.n, filter_pair.length)
     octaves: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     # One memory layout, so a series read from CSV (column-major) and the
     # same series read from binary give the same bits.
-    approx = np.ascontiguousarray(series.values)
+    approx = np.ascontiguousarray(series)
     truncated = False
     for j in range(1, j_max + 1):
         high = filter_pair.high_pass if j >= j_min else None

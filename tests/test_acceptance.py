@@ -14,7 +14,6 @@ from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, estimate_series,
                                   kappa_sweep, regression_weights,
                                   scaling_diagnostic, scaling_exponents)
 from eigenwave.montecarlo import gamma_plot, ks_critical, run_replications
-from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (OfBmSpec, cumulative_path,
                                 fgn_cross_covariance,
                                 synthesize_ofbm_increments)
@@ -55,7 +54,7 @@ def test_criterion_02_vanishing_moments():
         poly = sum(c * t ** m for m, c in enumerate(coeffs[:n_vanishing]))
         scale = np.abs(poly).max()
         fp = make_filter_bank("daubechies", n_vanishing)
-        pyr = pyramid_transform(MultivariateSeries(poly[None, :]), fp, 6)
+        pyr = pyramid_transform(poly[None, :], fp, 6)
         for details in pyr.octaves.values():
             worst = max(worst, np.abs(details).max() / scale)
     report(2, "vanishing moments", worst < 1e-8,
@@ -71,7 +70,7 @@ def test_criterion_03_synthesis_oracle():
         for rep in range(reps):
             s, diag = synthesize_ofbm_increments(spec, n, np.random.default_rng([303, rep]))
             assert diag.clipped_energy == 0.0
-            x = s.values[0]
+            x = s[0]
             acfs[rep] = [np.dot(x[: n - k], x[k:]) / (n - k) for k in lags]
         target = fgn_cross_covariance(h, h, 1.0, lags)
         se = acfs.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -81,7 +80,7 @@ def test_criterion_03_synthesis_oracle():
     cross = np.empty(reps)
     for rep in range(reps):
         s, _ = synthesize_ofbm_increments(spec2, n, np.random.default_rng([606, rep]))
-        cross[rep] = np.dot(s.values[0], s.values[1]) / n
+        cross[rep] = np.dot(s[0], s[1]) / n
     z_cross = abs(cross.mean() - 0.5) / (cross.std(ddof=1) / np.sqrt(reps))
     worst_z = max(worst_z, float(z_cross))
     report(3, "synthesis oracle", worst_z < 3.0,

@@ -20,8 +20,8 @@ from eigenwave.cli import main
 from eigenwave.config import (PRESETS, SCHEMA, ConfigError, build_mc_config, preset_config,
                               resolve_config)
 from eigenwave.montecarlo import draw_observation
-from eigenwave.series import (MultivariateSeries, read_series_binary, read_series_csv,
-                              write_series_binary, write_series_csv)
+from eigenwave.series import (read_series_binary, read_series_csv, write_series_binary,
+                              write_series_csv)
 from eigenwave import rootcache
 from eigenwave.simulate import _embedding_root, _factor_embedding_root
 
@@ -88,9 +88,9 @@ class TestSimulate:
         effective = json.loads((out / "effective_config.json").read_text())
         assert effective["analysis"]["kappa"] == 0.3  # default resolved
         series = read_series_csv(out / "series_y.csv")
-        assert (series.p, series.n) == (1, 1024)
+        assert series.shape == (1, 1024)
         binary = read_series_binary(out / "series_y.bin")
-        np.testing.assert_allclose(binary.values, series.values, atol=1e-12)
+        np.testing.assert_allclose(binary, series, atol=1e-12)
 
     def test_repeat_is_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
@@ -178,7 +178,7 @@ class TestEstimate:
 
         # independent univariate regression: full convolution per octave,
         # valid part only, log2 variance against j with the same weights
-        y = read_series_binary(data).values[0]
+        y = read_series_binary(data)[0]
         lo = np.array([0.48296291314453414, 0.83651630373780791,
                        0.22414386804201338, -0.12940952255126038])
         hi = np.array([(-1.0) ** k * c for k, c in enumerate(lo[::-1])])
@@ -571,7 +571,7 @@ class TestEstimateData:
         sim = tmp_path / "sim"
         code, _, err = run(["simulate", "--config", cfg, "--out", str(sim)], capsys)
         assert code == 0, err
-        assert not read_series_csv(sim / "series_y.csv").values.flags.c_contiguous
+        assert not read_series_csv(sim / "series_y.csv").flags.c_contiguous
         outs = []
         for suffix in ("csv", "bin"):
             out = tmp_path / suffix
@@ -618,7 +618,7 @@ class TestSharedDraw:
         code, _, err = run(["simulate", "--config", cfg, "--out", str(out)], capsys)
         assert code == 0, err
         observed = draw_observation(build_mc_config(resolve_config(MINIMAL)), 0)[0]
-        assert read_series_binary(out / "series_y.bin").values.tobytes() == observed.values.tobytes()
+        assert read_series_binary(out / "series_y.bin").tobytes() == observed.tobytes()
 
     def test_estimate_draws_what_simulate_writes(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL))
@@ -688,6 +688,44 @@ class TestRootCache:
         _embedding_root.cache_clear()
         for name in ("records.ndjson", "summary.json"):
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+
+# Models whose numbers overflow: the noise's ARMA filter, the embedding's
+# rfft on a cold root cache, and the octave covariances. The finite check or
+# eigh's LinAlgError ends each run in exit 3, and numpy's warnings, the pool
+# workers' included, stay off stderr. The 1e308-variance noise itself is
+# finite, so simulate writes its Y.
+OVERFLOWING = {
+    "arma-noise": ({"noise": {"kind": "arma", "variance": 1e300, "ma": [1e300]}},
+                   "series contains non-finite entries"),
+    "point-cov": ({"point_cov": [[1e307, 0], [0, 1e307]], "noise": {"kind": "none"}},
+                  "series contains non-finite entries"),
+    "iid-noise": ({"noise": {"kind": "iid_gaussian", "variance": 1e308}}, None),
+}
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["estimate"], ["mc"], ["mc", "--workers", "2"]],
+                         ids=["simulate", "estimate", "mc", "mc-w2"])
+@pytest.mark.parametrize("case", OVERFLOWING)
+def test_overflow_ends_in_one_json_line(tmp_path, case, argv):
+    model, message = OVERFLOWING[case]
+    doc = {"model": {"r": 2, "hurst": [0.3, 0.7], "mixing": {"kind": "random_unit_columns"},
+                     "n": 1024, "p": 4, **model},
+           "analysis": {"j1": 2, "j2": 5}, "mc": {"replications": 4}}
+    write_config(tmp_path, doc)
+    code, stderr, files = run_cli_process([*argv, "--config", "config.json"], tmp_path,
+                                          tmp_path / "cache")
+    if case == "iid-noise" and argv == ["simulate"]:
+        assert (code, stderr) == (0, b"")
+        assert Path("series_y.csv") in files
+        return
+    assert code == 3, stderr
+    assert stderr.count(b"\n") == 1, stderr
+    error = json.loads(stderr)
+    assert error["code"] == 3
+    if message is not None:
+        assert error["error"] == message
+    assert not [name for name in files if name.name.startswith("series_")]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -888,7 +926,7 @@ def test_rejected_config_ends_in_one_json_line(capsys, command, config):
 
 
 def _series_bytes(writer):
-    series = MultivariateSeries(np.arange(16.0).reshape(2, 8) / 7.0)
+    series = np.arange(16.0).reshape(2, 8) / 7.0
     with tempfile.TemporaryDirectory() as tmp:
         writer(series, Path(tmp) / "y")
         return (Path(tmp) / "y").read_bytes()

@@ -313,6 +313,18 @@ class TestEstimateSeries:
             estimate_series(self._series(n=n), fp, j1, j2, **ANALYSIS, r=None)
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected_before_the_pyramid(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(estimators, "pyramid_transform",
+                            lambda *args, **kwargs: calls.append(args))
+        series = self._series(n=1024)
+        series[0, 100] = bad
+        fp = make_filter_bank("daubechies", 2)
+        with pytest.raises(ValueError, match="^series contains non-finite entries$"):
+            estimate_series(series, fp, 2, 5, **ANALYSIS, r=None)
+        assert calls == []
+
     @pytest.mark.parametrize("scheme", [UNIFORM, COUNT_WEIGHTED])
     def test_stages_get_the_checked_range(self, monkeypatch, scheme):
         # the spectrum and the weights trust their inputs: consecutive

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from oracles import ks_subset_average_reference
 
-from eigenwave import montecarlo
+from eigenwave import estimators, montecarlo
 from eigenwave.config import build_mc_config, resolve_config
 from eigenwave.estimators import OctaveRangeError, estimate_series
 from eigenwave.montecarlo import (KS_SUBSET_SEED, KS_SUBSETS, draw_observation,
                                   gamma_plot, ks_critical, ks_statistic,
                                   ks_subset_average, mahalanobis_sq,
                                   run_replications, summarize)
+from eigenwave.series import check_series
 from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path,
                                 synthesize_ofbm_increments)
 from eigenwave.special import chi2_cdf, chi2_quantile
@@ -251,8 +252,24 @@ class TestRunReplications:
     def test_drawn_noise_shares_no_memory_with_the_observation(self, noise):
         # simulate --components writes Z after Y, so Y must not alias Z
         observed, latent, z, mixing, _ = draw_observation(small_config(noise=noise), 0)
-        assert not np.shares_memory(observed.values, z.values)
-        assert observed.values.tobytes() == (mixing @ latent.values + z.values).tobytes()
+        assert not np.shares_memory(observed, z)
+        assert observed.tobytes() == (mixing @ latent + z).tobytes()
+
+    @pytest.mark.parametrize("noise", [{"kind": "iid_gaussian", "variance": 2.5},
+                                       {"kind": "arma", "ar": [0.6], "ma": [0.3]}])
+    def test_a_replication_checks_only_its_observation(self, monkeypatch, noise):
+        # the draw's stages trust one another: estimate_series checks Y once
+        seen = []
+
+        def spy(values):
+            seen.append(values)
+            return check_series(values)
+
+        monkeypatch.setattr(estimators, "check_series", spy)
+        config = small_config(noise=noise, replications=1)
+        montecarlo._replicate(config, 0)
+        [checked] = seen
+        assert checked.tobytes() == draw_observation(config, 0)[0].tobytes()
 
     @pytest.mark.parametrize("model", [
         {}, {"hurst": [0.1, 0.9], "point_cov": [[1.0, 0.99], [0.99, 1.0]],

@@ -13,7 +13,6 @@ from oracles import (arma_noise_reference, circulant_spectrum_reference,
 from eigenwave import rootcache, simulate
 from eigenwave.config import build_mc_config, preset_config, resolve_config
 from eigenwave.montecarlo import draw_observation
-from eigenwave.series import MultivariateSeries
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 SynthesisDiagnostics, _arma_block_operators,
                                 _arma_burn_in, _arma_filter, _circulant_spectrum,
@@ -76,7 +75,7 @@ class TestSynthesis:
         spec = OfBmSpec(hurst=(0.3, 0.7), point_cov=np.eye(2))
         a, _ = synthesize_ofbm_increments(spec, 512, np.random.default_rng(42))
         b, _ = synthesize_ofbm_increments(spec, 512, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_white_noise_case(self):
         spec = OfBmSpec(hurst=(0.5,), point_cov=np.eye(1))
@@ -85,7 +84,7 @@ class TestSynthesis:
         for _ in range(60):
             s, diag = synthesize_ofbm_increments(spec, 4096, rng)
             assert diag.clipped_energy == 0.0
-            x = s.values[0]
+            x = s[0]
             acfs.append([np.dot(x[: x.size - k], x[k:]) / (x.size - k) for k in range(4)])
         acfs = np.array(acfs)
         se = acfs.std(axis=0, ddof=1) / np.sqrt(len(acfs))
@@ -99,7 +98,7 @@ class TestSynthesis:
         acfs = []
         for _ in range(60):
             s, _ = synthesize_ofbm_increments(spec, 4096, rng)
-            x = s.values[0]
+            x = s[0]
             acfs.append([np.dot(x[: x.size - k], x[k:]) / (x.size - k) for k in range(6)])
         acfs = np.array(acfs)
         se = acfs.std(axis=0, ddof=1) / np.sqrt(len(acfs))
@@ -114,7 +113,7 @@ class TestSynthesis:
         cross = []
         for _ in range(60):
             s, _ = synthesize_ofbm_increments(spec, 4096, rng)
-            cross.append(np.dot(s.values[0], s.values[1]) / s.n)
+            cross.append(np.dot(s[0], s[1]) / s.shape[1])
         cross = np.array(cross)
         se = cross.std(ddof=1) / np.sqrt(cross.size)
         assert abs(cross.mean() - 0.5) < 4 * se
@@ -125,7 +124,7 @@ class TestSynthesis:
         skews, kurts = [], []
         for _ in range(50):
             s, _ = synthesize_ofbm_increments(spec, 4096, rng)
-            x = s.values[0]
+            x = s[0]
             z = (x - x.mean()) / x.std()
             skews.append((z ** 3).mean())
             kurts.append((z ** 4).mean() - 3.0)
@@ -142,7 +141,7 @@ class TestSynthesis:
         v1, v2 = [], []
         for _ in range(400):
             s, _ = synthesize_ofbm_increments(spec, n, rng)
-            b = cumulative_path(s).values[0]
+            b = cumulative_path(s)[0]
             v1.append(b[n // 4 - 1] ** 2)
             v2.append(b[n // 2 - 1] ** 2)
         v1, v2 = np.array(v1), np.array(v2)
@@ -202,9 +201,9 @@ class TestCachedSynthesis:
             series, diag = synthesize_ofbm_increments(spec, n, np.random.default_rng(seed))
             ref, clip_energy, warning = synthesize_ofbm_reference(
                 spec, n, np.random.default_rng(seed))
-            assert series.values.shape == ref.T.shape == (spec.r, n)
+            assert series.shape == ref.T.shape == (spec.r, n)
             bound = 8 * np.finfo(float).eps * np.abs(ref).max()
-            assert np.abs(series.values - ref.T).max() <= bound, (spec.hurst, n, seed)
+            assert np.abs(series - ref.T).max() <= bound, (spec.hurst, n, seed)
             assert diag == SynthesisDiagnostics(clip_energy, warning), (spec.hurst, n, seed)
 
     def test_cached_draw_equals_a_fresh_one_bit_for_bit(self, root_cache, monkeypatch):
@@ -218,8 +217,8 @@ class TestCachedSynthesis:
                 patch.setattr(simulate, "_embedding_root", _factor_embedding_root)
                 fresh, fresh_diag = synthesize_ofbm_increments(spec, n,
                                                                np.random.default_rng(seed))
-            assert (fresh.values.tobytes() == cached.values.tobytes()
-                    == loaded.values.tobytes()), (spec.hurst, n, seed)
+            assert (fresh.tobytes() == cached.tobytes()
+                    == loaded.tobytes()), (spec.hurst, n, seed)
             assert fresh_diag == diag == loaded_diag
 
     @pytest.mark.parametrize("n", [2, 4, 256, 4096])
@@ -404,12 +403,12 @@ class TestMixing:
 class TestNoise:
     def test_none_is_zero(self):
         z = synthesize_noise(NoiseSpec("none"), 3, 100, np.random.default_rng(1))
-        np.testing.assert_array_equal(z.values, np.zeros((3, 100)))
+        np.testing.assert_array_equal(z, np.zeros((3, 100)))
 
     def test_iid_variance(self):
         z = synthesize_noise(NoiseSpec("iid_gaussian", variance=1.0), 2, 16384,
                              np.random.default_rng(2))
-        for row in z.values:
+        for row in z:
             # variance of the sample variance is 2/n for unit Gaussians
             assert abs(row.var() - 1.0) < 3 * np.sqrt(2.0 / row.size)
 
@@ -418,7 +417,7 @@ class TestNoise:
         z = synthesize_noise(NoiseSpec("iid_gaussian", variance=2.5), 3, 257,
                              np.random.default_rng(seed))
         expect = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257))
-        assert z.values.tobytes() == expect.tobytes()
+        assert z.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_arma_filters_the_scaled_draw_bit_for_bit(self, seed):
@@ -427,14 +426,14 @@ class TestNoise:
         eps = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257 + burn))
         _arma_filter(eps, spec.ar, spec.ma)
         z = synthesize_noise(spec, 3, 257, np.random.default_rng(seed))
-        assert z.values.tobytes() == eps[:, burn:].tobytes()
+        assert z.tobytes() == eps[:, burn:].tobytes()
 
     def test_ar1_autocorrelation(self):
         rng = np.random.default_rng(3)
         rho = []
         for _ in range(40):
             z = synthesize_noise(NoiseSpec("arma", variance=1.0, ar=(0.5,)), 1, 4096, rng)
-            x = z.values[0]
+            x = z[0]
             rho.append(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         rho = np.array(rho)
         se = rho.std(ddof=1) / np.sqrt(rho.size)
@@ -448,7 +447,7 @@ class TestNoise:
         vs = []
         for _ in range(400):
             z = synthesize_noise(NoiseSpec("arma", variance=1.0, ar=(0.5,)), 1, 512, rng)
-            vs.append((z.values[0, :32] ** 2).mean())  # earliest samples carry any init bias
+            vs.append((z[0, :32] ** 2).mean())  # earliest samples carry any init bias
         se = np.std(vs, ddof=1) / np.sqrt(len(vs))
         assert abs(np.mean(vs) - target) < 3 * se + 1e-3 * target
 
@@ -487,7 +486,7 @@ class TestArmaFilter:
         spec = NoiseSpec("arma", variance=variance, ar=ar, ma=ma)
         burn = _arma_burn_in(spec)
         eps = np.sqrt(variance) * np.random.default_rng(5).standard_normal((p, n + burn))
-        got = synthesize_noise(spec, p, n, np.random.default_rng(5)).values
+        got = synthesize_noise(spec, p, n, np.random.default_rng(5))
         assert_close(got, arma_noise_reference(eps, ar, ma)[:, burn:])
 
     @pytest.mark.parametrize("name", ["arma11", "arma23", "long-orders"])
@@ -551,48 +550,48 @@ class TestArmaFilter:
 
 class TestAssemble:
     def test_identity_mixing_no_noise(self):
-        x = MultivariateSeries(np.arange(12.0).reshape(3, 4))
-        z = MultivariateSeries(np.zeros((3, 4)))
+        x = np.arange(12.0).reshape(3, 4)
+        z = np.zeros((3, 4))
         y = assemble_observations(np.eye(3), x, z)
-        np.testing.assert_array_equal(y.values, x.values)
+        np.testing.assert_array_equal(y, x)
 
     def test_zero_signal(self):
-        x = MultivariateSeries(np.zeros((2, 5)))
-        z = MultivariateSeries(np.ones((4, 5)))
+        x = np.zeros((2, 5))
+        z = np.ones((4, 5))
         p = np.eye(4, 2)
         y = assemble_observations(p, x, z)
-        np.testing.assert_array_equal(y.values, z.values)
+        np.testing.assert_array_equal(y, z)
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(11)
         p, r, n = 5, 2, 7
         mix = rng.standard_normal((p, r))
-        x = MultivariateSeries(rng.standard_normal((r, n)))
-        z = MultivariateSeries(rng.standard_normal((p, n)))
+        x = rng.standard_normal((r, n))
+        z = rng.standard_normal((p, n))
         y = assemble_observations(mix, x, z)
         expect = np.zeros((p, n))
         for i in range(p):
             for t in range(n):
-                acc = z.values[i, t]
+                acc = z[i, t]
                 for q in range(r):
-                    acc += mix[i, q] * x.values[q, t]
+                    acc += mix[i, q] * x[q, t]
                 expect[i, t] = acc
-        np.testing.assert_allclose(y.values, expect, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, expect, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("z_layout", ["contiguous", "column slice"])
     def test_is_the_product_plus_noise_bit_for_bit(self, z_layout):
         rng = np.random.default_rng(12)
         mix = rng.standard_normal((7, 3))
-        x = MultivariateSeries(rng.standard_normal((3, 1000)))
+        x = rng.standard_normal((3, 1000))
         z_rows = rng.standard_normal((7, 1013))
         if z_layout == "contiguous":
             z_rows = z_rows[:, 13:].copy()
-        z = MultivariateSeries(z_rows[:, -1000:])
+        z = z_rows[:, -1000:]
         z_bytes = z_rows.tobytes()
         y = assemble_observations(mix, x, z)
-        assert y.values.tobytes() == (mix @ x.values + z.values).tobytes()
+        assert y.tobytes() == (mix @ x + z).tobytes()
         assert z_rows.tobytes() == z_bytes  # the noise is never written into
-        assert not np.shares_memory(y.values, z_rows)
+        assert not np.shares_memory(y, z_rows)
 
     @pytest.mark.parametrize("name", ["fig1", "fig3", "fig4", "arma-wide", "explicit-none"])
     def test_draws_have_the_study_shapes(self, name):
@@ -611,7 +610,7 @@ class TestAssemble:
         config = build_mc_config(resolve_config(doc))
         y, x, z, mixing, _ = draw_observation(config, 0)
         p, r, n = config.p, config.model.r, config.n
-        assert (y.values.shape, x.values.shape, z.values.shape, mixing.shape) == (
+        assert (y.shape, x.shape, z.shape, mixing.shape) == (
             (p, n), (r, n), (p, n), (p, r))
 
     def test_mixing_preserves_covariance(self):
@@ -625,13 +624,13 @@ class TestAssemble:
             x, _ = synthesize_ofbm_increments(spec, 256, rng)
             z = synthesize_noise(NoiseSpec("iid_gaussian", variance=0.25), 4, 256, rng)
             y = assemble_observations(mix, x, z)
-            samples.append(y.values[:, 17])
+            samples.append(y[:, 17])
         got = np.cov(np.array(samples).T, ddof=1)
         expect = mix @ sigma @ mix.T + 0.25 * np.eye(4)
         assert np.abs(got - expect).max() < 0.15
 
 
 def test_cumulative_path():
-    s = MultivariateSeries(np.array([[1.0, 2.0, 3.0], [1.0, -1.0, 1.0]]))
+    s = np.array([[1.0, 2.0, 3.0], [1.0, -1.0, 1.0]])
     b = cumulative_path(s)
-    np.testing.assert_array_equal(b.values, [[1.0, 3.0, 6.0], [1.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(b, [[1.0, 3.0, 6.0], [1.0, 0.0, 1.0]])

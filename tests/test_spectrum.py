@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from eigenwave.config import build_mc_config, preset_config, resolve_config
 from eigenwave.montecarlo import draw_observation
 from eigenwave.spectrum import WaveletCovariance, log_eigen_spectrum, wavelet_covariance
-from eigenwave.series import MultivariateSeries
 from eigenwave.wavelets import make_filter_bank, pyramid_transform
 from oracles import jacobi_eigen
 
@@ -182,7 +181,7 @@ class TestLogEigenSpectrum:
 
     def test_from_pyramid_counts(self):
         rng = np.random.default_rng(7)
-        series = MultivariateSeries(rng.standard_normal((3, 512)))
+        series = rng.standard_normal((3, 512))
         pyr = pyramid_transform(series, HAAR, 4)
         spec = log_eigen_spectrum([wavelet_covariance(j, pyr.detail(j)) for j in (2, 3, 4)],
                                   FLOOR)
