@@ -17,7 +17,7 @@ on the fixtures when their listings diff clean, e.g.
 
 The runs keep the embedding roots they factor in DIR/.cache (their
 XDG_CACHE_HOME), outside every run directory, so the first run of each
-model is always cold. The thirty-two runs take about 12 s on two cores. This
+model is always cold. The thirty-four runs take about 12 s on two cores. This
 is a tool for refactors that must keep every output byte; it is not part
 of the test suite.
 """
@@ -94,12 +94,20 @@ NOISELESS_HAAR = {
     "mc": {"replications": 12},
 }
 
-# ARMA noise whose filter overflows: the draw's Y is not finite, so simulate
-# writes no series and both runs exit 3 with one JSON line on stderr, no
-# numpy warning before it, from the CLI or from the pool's workers.
+# ARMA noise whose filter overflows: the draw's Y is not finite, so both
+# runs exit 3 with one JSON line on stderr, no numpy warning before it, from
+# the CLI or from the pool's workers, and leave no output directory.
 OVERFLOW = {**ARMA_COMPONENTS,
             "model": {**ARMA_COMPONENTS["model"],
                       "noise": {"kind": "arma", "variance": 1e300, "ma": [1e300]}}}
+
+# The fig4 model with i.i.d. noise of variance 1e308: Y is finite, but its
+# octave-4 covariance overflows, so estimate and mc exit 3 with the message
+# that names the octave, and write nothing.
+OVERFLOW_COV = {**KS_SUBSETS,
+                "model": {**KS_SUBSETS["model"],
+                          "noise": {"kind": "iid_gaussian", "variance": 1e308}},
+                "mc": {**KS_SUBSETS["mc"], "replications": 4}, "io": {}}
 
 # One config per kind of schema rule, each rejected with exit 2: the listing
 # pins the bytes of the path and message it reports. p-before-octaves has p
@@ -122,6 +130,7 @@ CONFIGS = {
     "arma-components.json": ARMA_COMPONENTS,
     "noiseless-haar.json": NOISELESS_HAAR,
     "overflow.json": OVERFLOW,
+    "overflow-cov.json": OVERFLOW_COV,
     **{f"rejected-{name}.json": doc for name, doc in REJECTED.items()},
 }
 
@@ -161,6 +170,8 @@ FIXTURES = {
     "mc-infeasible": ["mc", "--config", "infeasible.json", "--workers", "2"],
     "simulate-overflow": ["simulate", "--config", "overflow.json"],
     "mc-overflow-w2": ["mc", "--config", "overflow.json", "--workers", "2"],
+    "estimate-overflow-cov": ["estimate", "--config", "overflow-cov.json"],
+    "mc-overflow-cov-w2": ["mc", "--config", "overflow-cov.json", "--workers", "2"],
     **{f"simulate-rejected-{name}": ["simulate", "--config", f"rejected-{name}.json"]
        for name in REJECTED},
 }

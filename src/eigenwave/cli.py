@@ -61,13 +61,17 @@ def _load_config(args) -> dict:
 
 
 def _check_out_dir(cfg: dict) -> None:
-    """Reject an io.out_dir that is a file or lies under one, creating
+    """Reject an io.out_dir that is a file, lies under one, or whose
+    nearest existing directory this process cannot write into, creating
     nothing, so the check can run before any series is drawn or read."""
     out = Path(cfg["io"]["out_dir"])
     for path in (out, *out.parents):
         if os.path.exists(path):
             if not os.path.isdir(path):
                 raise ConfigError(f"io.out_dir: {path} is not a directory",
+                                  path="io.out_dir")
+            if not os.access(path, os.W_OK | os.X_OK):
+                raise ConfigError(f"io.out_dir: {path} is not writable",
                                   path="io.out_dir")
             return
 
@@ -92,10 +96,10 @@ def _write_series(series: np.ndarray, stem: str, cfg: dict, out: Path) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     mc_config = build_mc_config(cfg)
-    out = _out_dir(cfg)
     observed, latent, noise, mixing, diagnostics = draw_observation(mc_config, 0)
     # X and Z are finite when Y is, since P has unit-norm columns
     check_series(observed)
+    out = _out_dir(cfg)
     if diagnostics.warning:
         print(json.dumps({"warning": diagnostics.warning}), file=sys.stderr)
     _write_series(observed, "series_y", cfg, out)
@@ -141,8 +145,8 @@ def cmd_mc(args) -> int:
         raise ConfigError("analysis.r: mc reports the model's r exponents; "
                           "analysis.r applies to estimate only", path="analysis.r")
     mc_config = build_mc_config(cfg)
-    out = _out_dir(cfg)
     records = run_replications(mc_config, workers=args.workers)
+    out = _out_dir(cfg)
     # before summarize, which fails a study whose every replication is flagged
     write_records_ndjson(records, out / "records.ndjson")
     write_json(cfg, out / "effective_config.json")

@@ -19,7 +19,7 @@ CLIP_ENERGY_TOL = 1e-6
 # Longest ARMA burn-in a noise model may need: AR roots closer to the unit
 # circle than about 1e-5 would otherwise draw and filter without bound
 MAX_ARMA_BURN_IN = 2 ** 20
-# A block just below the 32 MiB up to which freeing it raises glibc's mmap
+# A block just under the 32 MiB up to which freeing it raises glibc's mmap
 # threshold; see _embedding_root
 _HEAP_BLOCK_BYTES = 31 << 20
 # ARMA noise is filtered in blocks of this many samples, this many at a time
@@ -160,19 +160,16 @@ def fgn_cross_covariance(h_a: float, h_b: float, sigma_ab: float, lag) -> float:
 def _circulant_spectrum(hurst: tuple, point_cov: np.ndarray, n: int):
     """Spectral r x r matrices of the length-2n circulant embedding.
 
-    Each of the r(r+1)/2 coordinate pairs gets one row: its cross-covariance
-    at lags 0..n (fgn_cross_covariance's formula and operation order, with
-    the three powers read off one table of k^e), then the even periodic
-    extension to length 2n. Its DFT is real and symmetric in frequency, so
-    only the first n+1 matrices are decomposed.
+    Each of the r(r+1)/2 coordinate pairs gets one row: its
+    fgn_cross_covariance at lags 0..n, then the even periodic extension to
+    length 2n. Its DFT is real and symmetric in frequency, so only the first
+    n+1 matrices are decomposed.
     """
     rows, cols = np.triu_indices(len(hurst))
-    lags = np.arange(n + 2, dtype=np.float64)
-    below = np.abs(np.arange(-1, n))  # |k - 1| for k = 0..n
+    lags = np.arange(n + 1, dtype=np.float64)
     seq = np.empty((rows.size, 2 * n))
     for out, a, b in zip(seq, rows, cols):
-        pw = lags ** (hurst[a] + hurst[b])
-        out[: n + 1] = 0.5 * point_cov[a, b] * (pw[below] - 2.0 * pw[:-1] + pw[1:])
+        out[: n + 1] = fgn_cross_covariance(hurst[a], hurst[b], point_cov[a, b], lags)
         out[n + 1:] = out[n - 1:0:-1]
     spectra = np.empty((n + 1, len(hurst), len(hurst)))
     spectra[:, rows, cols] = spectra[:, cols, rows] = np.fft.rfft(seq).real.T

@@ -52,11 +52,16 @@ def log_eigen_spectrum(covariances, floor: float) -> LogEigenSpectrum:
     covariances is a sequence of WaveletCovariance over consecutive
     octaves. Eigenvalues below the floor are flagged as zero and carry no
     logarithm; this suppresses spuriously large log-domain slopes from
-    rank-deficient matrices.
+    rank-deficient matrices. A covariance with a non-finite entry is
+    rejected: eigh would return NaN eigenvalues, or fail to converge.
     """
     if floor <= 0.0:
         raise ValueError(f"floor must be positive, got {floor}")
     covs = list(covariances)
+    overflowed = [c.j for c in covs if not np.isfinite(c.matrix).all()]
+    if overflowed:
+        raise ValueError(f"covariance at octave {overflowed[0]} is not finite: the "
+                         f"detail coefficients' second moments overflow float64")
     lam = np.linalg.eigh(np.stack([c.matrix for c in covs]))[0]
     flags = lam < floor
     with np.errstate(divide="ignore", invalid="ignore"):

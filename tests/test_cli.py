@@ -478,6 +478,33 @@ def test_out_onto_a_file_is_config_error(capsys, monkeypatch, command, out):
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@pytest.mark.parametrize("out", ["locked", "locked/sub"])
+def test_out_in_a_directory_it_cannot_write_is_config_error(tmp_path, capsys, monkeypatch,
+                                                            command, out):
+    # rejected before any series is drawn; os.access stands in for the
+    # permission bits, which do not bind a process run as root
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    asked = []
+
+    def access(path, mode):
+        asked.append((Path(path), mode))
+        return Path(path) != locked
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a series before checking --out")
+    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr("eigenwave.cli.draw_observation", no_draw)
+    monkeypatch.setattr("eigenwave.cli.run_replications", no_draw)
+    code, _, err = run([command, "--preset", "fig4", "--out", str(tmp_path / out)], capsys)
+    assert code == 2, err
+    assert json.loads(err) == {"code": 2, "error": f"io.out_dir: {locked} is not writable",
+                               "path": "io.out_dir"}
+    assert asked == [(locked, os.W_OK | os.X_OK)]
+    assert not any(locked.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
 @pytest.mark.parametrize("j1, j2", [(4, 4), (5, 4)])
 def test_octave_range_needs_two_octaves(capsys, command, j1, j2):
     config = json.dumps({**MINIMAL, "analysis": {"j1": j1, "j2": j2}}).encode()
@@ -691,16 +718,19 @@ class TestRootCache:
 
 
 # Models whose numbers overflow: the noise's ARMA filter, the embedding's
-# rfft on a cold root cache, and the octave covariances. The finite check or
-# eigh's LinAlgError ends each run in exit 3, and numpy's warnings, the pool
-# workers' included, stay off stderr. The 1e308-variance noise itself is
-# finite, so simulate writes its Y.
+# rfft on a cold root cache, and the octave covariances. The finite check on
+# Y or on the covariances ends each run in exit 3, and numpy's warnings, the
+# pool workers' included, stay off stderr. The 1e308-variance noise itself
+# is finite, so simulate writes its Y.
+COVARIANCE_OVERFLOW = ("covariance at octave {} is not finite: the detail "
+                       "coefficients' second moments overflow float64")
 OVERFLOWING = {
     "arma-noise": ({"noise": {"kind": "arma", "variance": 1e300, "ma": [1e300]}},
                    "series contains non-finite entries"),
     "point-cov": ({"point_cov": [[1e307, 0], [0, 1e307]], "noise": {"kind": "none"}},
                   "series contains non-finite entries"),
-    "iid-noise": ({"noise": {"kind": "iid_gaussian", "variance": 1e308}}, None),
+    "iid-noise": ({"noise": {"kind": "iid_gaussian", "variance": 1e308}},
+                  COVARIANCE_OVERFLOW.format(2)),
 }
 
 
@@ -720,12 +750,25 @@ def test_overflow_ends_in_one_json_line(tmp_path, case, argv):
         assert Path("series_y.csv") in files
         return
     assert code == 3, stderr
-    assert stderr.count(b"\n") == 1, stderr
-    error = json.loads(stderr)
-    assert error["code"] == 3
-    if message is not None:
-        assert error["error"] == message
-    assert not [name for name in files if name.name.startswith("series_")]
+    assert json.loads(stderr) == {"code": 3, "error": message}
+    # a run that fails in its work leaves no output directory behind
+    assert not (tmp_path / "out").exists() and not files
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["mc"], ["mc", "--workers", "2"]],
+                         ids=["estimate", "mc", "mc-w2"])
+def test_overflowing_covariance_is_numerical_error(tmp_path, capsys, argv):
+    # Y is finite, but D D^T / n_j at octave 4 is not; its eigenvalues
+    # would be NaN, which no floor flags
+    doc = preset_config("fig4")
+    doc["model"]["noise"] = {"kind": "iid_gaussian", "variance": 1e308}
+    doc["mc"]["replications"] = 4
+    out = tmp_path / "out"
+    code, _, err = run([*argv, "--config", write_config(tmp_path, doc), "--out", str(out)],
+                       capsys)
+    assert code == 3, err
+    assert json.loads(err) == {"code": 3, "error": COVARIANCE_OVERFLOW.format(4)}
+    assert not out.exists()
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

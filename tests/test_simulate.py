@@ -230,6 +230,13 @@ class TestCachedSynthesis:
             assert got.shape == ref.shape == (n + 1, spec.r, spec.r)
             assert got.tobytes() == ref.tobytes(), spec.hurst
 
+    def test_fig1_spectrum_equals_the_per_lag_construction(self):
+        model = build_mc_config(resolve_config(preset_config("fig1"))).model
+        got = _circulant_spectrum(model.hurst, model.point_cov, 65536)
+        ref = circulant_spectrum_reference(model.hurst, model.point_cov, 65536)
+        assert got.shape == ref.shape == (65537, 6, 6)
+        assert got.tobytes() == ref.tobytes()
+
     def test_cached_root_is_read_only(self):
         synthesize_ofbm_increments(FIG4_LIKE, 1024, np.random.default_rng(1))
         half, _ = _embedding_root(FIG4_LIKE.hurst, FIG4_LIKE.point_cov.tobytes(), 1024)

@@ -179,6 +179,18 @@ class TestLogEigenSpectrum:
         with pytest.raises(ValueError, match="floor"):
             log_eigen_spectrum([cov], floor=0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "nan"])
+    def test_non_finite_covariance_names_its_octave(self, sign):
+        # 1e200 squared overflows: to inf, or to inf - inf = NaN off the diagonal
+        big = np.array([[1e200, 1e200], [1e200, sign * 1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            covs = [wavelet_covariance(3, np.eye(2)), wavelet_covariance(4, big),
+                    wavelet_covariance(5, big)]
+        assert not np.isfinite(covs[1].matrix).all()
+        with pytest.raises(ValueError, match=r"^covariance at octave 4 is not finite: "
+                                             r".* overflow float64$"):
+            log_eigen_spectrum(covs, FLOOR)
+
     def test_from_pyramid_counts(self):
         rng = np.random.default_rng(7)
         series = rng.standard_normal((3, 512))

@@ -140,6 +140,36 @@ class TestAnalysisStep:
             np.testing.assert_array_equal(c.detail(j), f.detail(j))
 
 
+# n = 256 reaches octave 4 with each of these filters but db10 (length 20),
+# whose windows stop at octave 3 with 119, 50 and 16 coefficients.
+EQUIVALENT_FILTER_CASES = [
+    (family, nv, j)
+    for family, nv in [("haar", 1), ("daubechies", 2), ("daubechies", 6), ("daubechies", 10)]
+    for j in range(1, 5) if valid_count(256, j, 2 * nv)
+]
+
+
+class TestEquivalentFilters:
+    """J approximation steps on the identity give A_J^T: the rows of A_J are
+    the level-J equivalent low-pass filter shifted by 2^J. They are
+    orthonormal, and so are the level-J detail rows, which are orthogonal
+    to them; so A_J maps i.i.d. N(0, s^2) samples to i.i.d. N(0, s^2)."""
+
+    @pytest.mark.parametrize("family, nv, j", EQUIVALENT_FILTER_CASES)
+    def test_approximation_and_detail_rows_are_orthonormal(self, family, nv, j):
+        fp = make_filter_bank(family, nv)
+        approx_t = np.eye(256)
+        for _ in range(j - 1):
+            approx_t, _ = _analysis_step(approx_t, fp.low_pass, None)
+        approx_t, detail_t = _analysis_step(approx_t, fp.low_pass, fp.high_pass)
+        a, d = approx_t.T, detail_t.T
+        assert a.shape == d.shape == (valid_count(256, j, fp.length), 256)
+        eye = np.eye(a.shape[0])
+        assert np.abs(a @ a.T - eye).max() <= 1e-14
+        assert np.abs(d @ d.T - eye).max() <= 1e-14
+        assert np.abs(d @ a.T).max() <= 1e-14
+
+
 class TestPyramidFromJMin:
     @pytest.mark.parametrize("family, nv", [("haar", 1), ("daubechies", 2), ("daubechies", 6)])
     def test_kept_details_equal_the_full_pyramid(self, family, nv):
