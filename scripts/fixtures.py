@@ -17,7 +17,7 @@ on the fixtures when their listings diff clean, e.g.
 
 The runs keep the embedding roots they factor in DIR/.cache (their
 XDG_CACHE_HOME), outside every run directory, so the first run of each
-model is always cold. The thirty-four runs take about 12 s on two cores. This
+model is always cold. The thirty-seven runs take about 12 s on two cores. This
 is a tool for refactors that must keep every output byte; it is not part
 of the test suite.
 """
@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,17 @@ OVERFLOW_COV = {**KS_SUBSETS,
                           "noise": {"kind": "iid_gaussian", "variance": 1e308}},
                 "mc": {**KS_SUBSETS["mc"], "replications": 4}, "io": {}}
 
+# analysis.r = 17 exceeds the p = 16 of the FLOORED model: estimate exits 2
+# at analysis.r before the draw, creating nothing.
+R_ABOVE_P = {**FLOORED, "analysis": {"j1": 3, "j2": 7, "r": 17}}
+
+# Series files with a NaN and an infinite value: the readers parse them, and
+# estimate --data exits 3 with "series contains non-finite entries".
+DATA = {
+    "nan.csv": b"t,y_1,y_2\n0,1.5,2.5\n1,nan,0.5\n",
+    "inf.bin": struct.pack("<4sIQ4d", b"MVS1", 2, 2, 1.0, 2.0, float("inf"), 3.0),
+}
+
 # One config per kind of schema rule, each rejected with exit 2: the listing
 # pins the bytes of the path and message it reports. p-before-octaves has p
 # below r and an infeasible octave range: model.p is reported, not the range.
@@ -131,6 +143,7 @@ CONFIGS = {
     "noiseless-haar.json": NOISELESS_HAAR,
     "overflow.json": OVERFLOW,
     "overflow-cov.json": OVERFLOW_COV,
+    "r-above-p.json": R_ABOVE_P,
     **{f"rejected-{name}.json": doc for name, doc in REJECTED.items()},
 }
 
@@ -152,6 +165,9 @@ FIXTURES = {
     "estimate-fig4-kappa": ["estimate", "--preset", "fig4", "--kappa", "0.9", "--seed", "5"],
     "estimate-floored": ["estimate", "--config", "floored.json"],
     "estimate-one-octave": ["estimate", "--config", "one-octave.json"],
+    "estimate-r-above-p": ["estimate", "--config", "r-above-p.json"],
+    "estimate-nan-csv": ["estimate", "--config", "floored.json", "--data", "nan.csv"],
+    "estimate-inf-bin": ["estimate", "--config", "floored.json", "--data", "inf.bin"],
     "simulate-floored": ["simulate", "--config", "floored.json"],
     # read back what simulate-floored wrote, in both formats
     "estimate-floored-bin": ["estimate", "--config", "floored.json",
@@ -195,6 +211,8 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     for name, doc in CONFIGS.items():
         (args.out / name).write_text(json.dumps(doc))
+    for name, data in DATA.items():
+        (args.out / name).write_bytes(data)
     env = {**os.environ, "PYTHONPATH": str(args.src.resolve()),
            "XDG_CACHE_HOME": str((args.out / ".cache").resolve())}
     lines = []

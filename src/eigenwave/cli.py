@@ -119,13 +119,23 @@ def _read_series(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read data: {exc}")
 
 
+def _check_r(r: int | None, p: int) -> None:
+    """Reject an analysis.r above the dimension of the series to estimate."""
+    if r is not None and r > p:
+        raise ConfigError(f"analysis.r: {r} exceeds the series dimension p={p}",
+                          path="analysis.r")
+
+
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
+    analysis = cfg["analysis"]
     if args.data:
         series = _read_series(args.data)
+        _check_r(analysis["r"], series.shape[0])
     else:
-        series = draw_observation(build_mc_config(cfg), 0)[0]
-    analysis = cfg["analysis"]
+        mc_config = build_mc_config(cfg)
+        _check_r(analysis["r"], mc_config.p)
+        series = draw_observation(mc_config, 0)[0]
     filter_pair = make_filter_bank(analysis["family"], analysis["n_vanishing"])
     result = estimate_series(
         series, filter_pair, analysis["j1"], analysis["j2"],

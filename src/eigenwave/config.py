@@ -27,8 +27,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-DEFAULT_KAPPA_GRID = tuple(round(0.025 * k, 6) for k in range(1, 40))
-
 _MATRIX = {
     "type": "array", "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
@@ -104,7 +102,7 @@ SCHEMA = {
                 "kappa": {"type": "number", "exclusiveMinimum": 0, "default": 0.3},
                 "kappa_grid": {"type": "array", "minItems": 1,
                                "items": {"type": "number", "exclusiveMinimum": 0},
-                               "default": list(DEFAULT_KAPPA_GRID)},
+                               "default": [round(0.025 * k, 6) for k in range(1, 40)]},
                 "r": {"type": ["integer", "null"], "minimum": 0, "default": None},
             },
         },

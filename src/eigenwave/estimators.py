@@ -155,10 +155,6 @@ class EstimationResult:
     scheme: str
     weights: np.ndarray
 
-    @property
-    def p(self) -> int:
-        return self.ell_hat.size
-
 
 def estimate_series(series: np.ndarray, filter_pair: FilterPair,
                     j1: int, j2: int, scheme: str, floor: float, kappa: float,
@@ -189,7 +185,7 @@ def write_result_csv(result: EstimationResult, path) -> None:
     """CSV export with columns i, ell_hat, delta, flagged."""
     flagged = np.isnan(result.ell_hat)
     rows = ((i + 1, "" if flagged[i] else result.ell_hat[i], result.delta[i], int(flagged[i]))
-            for i in range(result.p))
+            for i in range(result.ell_hat.size))
     write_csv(path, ["i", "ell_hat", "delta", "flagged"], rows)
 
 

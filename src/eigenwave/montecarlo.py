@@ -195,7 +195,6 @@ class GammaPlotData:
     dof: int
     ks_stat: float
     ks_reject: bool
-    ks_critical: float
 
 
 def gamma_plot(samples) -> GammaPlotData:
@@ -214,8 +213,7 @@ def gamma_plot(samples) -> GammaPlotData:
     quantiles = np.array([chi2_quantile(r, float(pr)) for pr in probs])
     stat, reject = ks_statistic(d2, r)
     return GammaPlotData(d2=d2, chi2_quantiles=quantiles, dof=r,
-                         ks_stat=stat, ks_reject=reject,
-                         ks_critical=float(ks_critical(m)))
+                         ks_stat=stat, ks_reject=reject)
 
 
 def summarize(records, kappa_grid, true_hurst) -> dict:
@@ -256,7 +254,7 @@ def write_gamma_csv(plot: GammaPlotData | None, path) -> None:
 def write_ks_json(plot: GammaPlotData, path, subset: dict | None) -> None:
     doc = {
         "statistic": plot.ks_stat,
-        "critical": plot.ks_critical,
+        "critical": float(ks_critical(plot.d2.size)),
         "decision": "reject" if plot.ks_reject else "accept",
         "dof": plot.dof,
         "samples": int(plot.d2.size),

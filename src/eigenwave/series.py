@@ -1,10 +1,11 @@
 """Multivariate time series file formats and the finite-value rule.
 
 A series is a p x n float64 array: rows are components, columns are time
-points. check_series holds the rule every series that enters the program
-meets. Two on-disk formats are supported: a plain CSV with a time column,
-and a compact binary layout (16-byte header followed by row-major
-little-endian float64 data). Result documents are pretty-printed JSON.
+points. check_series holds the rule every series that is estimated or
+written meets; the readers only parse. Two on-disk formats are supported:
+a plain CSV with a time column, and a compact binary layout (16-byte
+header followed by row-major little-endian float64 data). Result
+documents are pretty-printed JSON.
 """
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ _HEADER = struct.Struct("<4sIQ")  # magic, p (u32), n (u64); 16 bytes
 
 
 def check_series(values) -> np.ndarray:
-    """The values as a float64 array, checked once where a series enters:
-    read from a file, passed to estimate_series, or drawn for writing."""
+    """The values as a float64 array, checked once where a series is used:
+    in estimate_series, which every read series goes to, and on a drawn
+    series before it is written."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"series must be a 2-d array, got shape {values.shape}")
@@ -64,7 +66,7 @@ def read_series_csv(path) -> np.ndarray:
             cols.append([float(x) for x in parts[1:]])
     if not cols:
         raise ValueError(f"{path}: no data rows")
-    return check_series(np.array(cols).T)
+    return np.array(cols).T
 
 
 def write_series_binary(series: np.ndarray, path) -> None:
@@ -87,7 +89,7 @@ def read_series_binary(path) -> np.ndarray:
             raise ValueError(f"{path}: header claims {p} x {n} values, "
                              f"file holds {size - _HEADER.size} data bytes")
         data = np.frombuffer(fh.read(), dtype="<f8")
-    return check_series(data.reshape(p, n).copy())
+    return data.reshape(p, n).copy()
 
 
 def write_json(doc, path) -> None:

@@ -8,7 +8,7 @@ absent).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -102,12 +102,14 @@ class MixingSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Componentwise noise model: "iid_gaussian", "arma" or "none"."""
+    """Componentwise noise model: "iid_gaussian", "arma" or "none". The
+    derived burn_in is how many samples a draw discards: 0 unless ARMA."""
 
     kind: str
     variance: float = 1.0
     ar: tuple = ()
     ma: tuple = ()
+    burn_in: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("iid_gaussian", "arma", "none"):
@@ -118,19 +120,23 @@ class NoiseSpec:
         object.__setattr__(self, "ma", tuple(float(m) for m in self.ma))
         if self.kind != "arma" and (self.ar or self.ma):
             raise ValueError("ar/ma coefficients only valid for kind='arma'")
-        if self.ar:
-            # phi(z) = 1 - a_1 z - ... - a_p z^p must have all roots outside
-            # the unit circle for stationarity.
-            roots = np.roots([-a for a in self.ar[::-1]] + [1.0])
-            if np.abs(roots).min() <= 1.0:
+        burn = 0
+        if self.kind == "arma":
+            decay = 0.0
+            if self.ar:
+                # phi(z) = 1 - a_1 z - ... - a_p z^p must have all roots
+                # outside the unit circle for stationarity.
+                moduli = np.abs(np.roots([-a for a in self.ar[::-1]] + [1.0]))
+                if moduli.min() <= 1.0:
+                    raise ValueError(f"nonstationary AR polynomial: root magnitudes {moduli}")
+                decay = 1.0 / (1.0 - 1.0 / moduli.min())
+            burn = max(512, int(np.ceil(10.0 * (len(self.ar) + len(self.ma) + decay))))
+            if burn > MAX_ARMA_BURN_IN:
                 raise ValueError(
-                    f"nonstationary AR polynomial: root magnitudes {np.abs(roots)}"
+                    f"ARMA burn-in of {burn} samples exceeds the limit of {MAX_ARMA_BURN_IN}: "
+                    f"an AR root within about 1e-5 of the unit circle, or over 10^5 coefficients"
                 )
-        if self.kind == "arma" and (burn := _arma_burn_in(self)) > MAX_ARMA_BURN_IN:
-            raise ValueError(
-                f"ARMA burn-in of {burn} samples exceeds the limit of {MAX_ARMA_BURN_IN}: "
-                f"an AR root within about 1e-5 of the unit circle, or over 10^5 coefficients"
-            )
+        object.__setattr__(self, "burn_in", burn)
 
 
 @dataclass(frozen=True)
@@ -141,20 +147,17 @@ class SynthesisDiagnostics:
     warning: str | None = None
 
 
-def fgn_cross_covariance(h_a: float, h_b: float, sigma_ab: float, lag) -> float:
+def fgn_cross_covariance(h_a: float, h_b: float, sigma_ab: float, lag):
     """Cross-covariance at the given lag between two fractional Gaussian
     noise coordinates with exponents h_a, h_b and point covariance sigma_ab.
 
-    Accepts a scalar or an array of lags.
+    Takes a scalar lag, giving an np.float64, or an array of lags.
     """
     if not (0.0 < h_a < 1.0 and 0.0 < h_b < 1.0):
         raise ValueError(f"Hurst exponents must lie in (0, 1), got {h_a}, {h_b}")
     k = np.abs(np.asarray(lag, dtype=np.float64))
     e = h_a + h_b
-    out = 0.5 * sigma_ab * (np.abs(k - 1.0) ** e - 2.0 * k ** e + (k + 1.0) ** e)
-    if np.isscalar(lag) or np.ndim(lag) == 0:
-        return float(out)
-    return out
+    return 0.5 * sigma_ab * (np.abs(k - 1.0) ** e - 2.0 * k ** e + (k + 1.0) ** e)
 
 
 def _circulant_spectrum(hurst: tuple, point_cov: np.ndarray, n: int):
@@ -271,14 +274,6 @@ def make_mixing_matrix(spec: MixingSpec, rng: np.random.Generator) -> np.ndarray
     return m / np.linalg.norm(m, axis=0)
 
 
-def _arma_burn_in(spec: NoiseSpec) -> int:
-    decay = 0.0
-    if spec.ar:
-        roots = np.roots([-a for a in spec.ar[::-1]] + [1.0])
-        decay = 1.0 / (1.0 - 1.0 / np.abs(roots).min())
-    return max(512, int(np.ceil(10.0 * (len(spec.ar) + len(spec.ma) + decay))))
-
-
 def _lag_matrix(coefs, rows: int, first: int) -> np.ndarray:
     """(rows, rows - first) matrix whose [k, c] entry is coefs[k - c - first]
     where that lag lies in 0..len(coefs)-1, and 0 elsewhere."""
@@ -344,12 +339,11 @@ def synthesize_noise(spec: NoiseSpec, p: int, n: int,
     if spec.kind == "none":
         return np.zeros((p, n))
     sd = np.sqrt(spec.variance)
-    burn = 0 if spec.kind == "iid_gaussian" else _arma_burn_in(spec)
-    x = rng.standard_normal((p, n + burn))
+    x = rng.standard_normal((p, n + spec.burn_in))
     x *= sd  # in place: the same bits as sd * x, without a second array
-    if burn:
+    if spec.burn_in:
         _arma_filter(x, spec.ar, spec.ma)
-    return x[:, burn:]
+    return x[:, spec.burn_in:]
 
 
 def assemble_observations(mixing: np.ndarray, latent: np.ndarray,

@@ -136,7 +136,7 @@ def test_criterion_06_separation():
     config = preset_study("fig1", 50)  # n = 2^16, octaves 6..9, seed 106
     hurst = config.model.hurst
     assert config.p == 32
-    records = run_replications(config, workers=1)
+    records = run_replications(config, workers=2)
     h = np.array([rec.h_hat for rec in records])
     bias = np.abs(h.mean(axis=0) - np.array(hurst)).max()
     deltas = np.array([rec.delta for rec in records])
@@ -151,7 +151,7 @@ def test_criterion_06_separation():
 def test_criterion_07_effective_dimension_plateau():
     config = preset_study("fig4", 200)  # n = 2^12, octaves 4..6, seed 41
     assert config.p == 32
-    records = run_replications(config, workers=1)
+    records = run_replications(config, workers=2)
     grid = np.array(config.kappa_grid)
     rows = kappa_sweep(np.array([rec.delta for rec in records]), grid, true_r=3)
     good = np.array([round(mean) == 3 and q05 == 3.0 and q95 == 3.0
@@ -175,7 +175,7 @@ def test_criterion_07_effective_dimension_plateau():
 def test_criterion_08_gaussianity():
     config = preset_study("fig3", 500)  # n = 2^14, octaves 5..7, seed 314
     assert config.p == 64
-    records = run_replications(config, workers=1)
+    records = run_replications(config, workers=2)
     samples = np.array([rec.h_hat for rec in records])
     plot = gamma_plot(samples)
     m, r = samples.shape

@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eigenwave
-from eigenwave import config
+from eigenwave import cli, config, estimators
+from eigenwave import series as series_module
 from eigenwave.cli import main
 from eigenwave.config import (PRESETS, SCHEMA, ConfigError, build_mc_config, preset_config,
                               resolve_config)
 from eigenwave.montecarlo import draw_observation
-from eigenwave.series import (read_series_binary, read_series_csv, write_series_binary,
-                              write_series_csv)
+from eigenwave.series import (check_series, read_series_binary, read_series_csv,
+                              write_series_binary, write_series_csv)
 from eigenwave import rootcache
 from eigenwave.simulate import _embedding_root, _factor_embedding_root
 
@@ -551,6 +552,51 @@ def test_mc_rejects_analysis_r(tmp_path, capsys):
     assert not out.exists()
 
 
+# analysis.r = 9 contradicts the p = 4 series of this model, drawn or read
+R_ABOVE_P = {**MINIMAL,
+             "model": {**MINIMAL["model"], "r": 2, "hurst": [0.3, 0.7], "p": 4,
+                       "noise": {"kind": "iid_gaussian"}},
+             "analysis": {**MINIMAL["analysis"], "r": 9}}
+R_ABOVE_P_ERROR = {"code": 2, "error": "analysis.r: 9 exceeds the series dimension p=4",
+                   "path": "analysis.r"}
+
+
+def test_estimate_rejects_r_above_the_drawn_p(capsys, monkeypatch):
+    # rejected before the draw: p is the model's
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a series before checking analysis.r")
+    monkeypatch.setattr("eigenwave.cli.draw_observation", no_draw)
+    error = assert_rejected(["estimate", "--config", "c.json", "--out", "out"],
+                            {"c.json": json.dumps(R_ABOVE_P).encode()}, capsys)
+    assert error == R_ABOVE_P_ERROR
+
+
+@pytest.mark.parametrize("suffix", ["csv", "bin"])
+def test_estimate_rejects_r_above_the_read_p(tmp_path, capsys, monkeypatch, suffix):
+    # rejected right after the read: p is the file's
+    path = tmp_path / f"y.{suffix}"
+    write = write_series_csv if suffix == "csv" else write_series_binary
+    write(np.random.default_rng(3).standard_normal((4, 256)), path)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimated before checking analysis.r")
+    monkeypatch.setattr("eigenwave.cli.estimate_series", no_estimate)
+    files = {"c.json": json.dumps({"analysis": R_ABOVE_P["analysis"]}).encode(),
+             path.name: path.read_bytes()}
+    error = assert_rejected(["estimate", "--config", "c.json", "--data", path.name,
+                             "--out", "out"], files, capsys)
+    assert error == R_ABOVE_P_ERROR
+
+
+def test_estimate_accepts_r_equal_to_p(tmp_path, capsys):
+    doc = {**R_ABOVE_P, "analysis": {**R_ABOVE_P["analysis"], "r": 4}}
+    out = tmp_path / "out"
+    code, _, err = run(["estimate", "--config", write_config(tmp_path, doc),
+                        "--out", str(out)], capsys)
+    assert code == 0, err
+    assert len(json.loads((out / "estimate.json").read_text())["h_hat"]) == 4
+
+
 class TestEstimateData:
     @pytest.fixture()
     def series_path(self, tmp_path, capsys):
@@ -620,6 +666,34 @@ class TestEstimateData:
             assert code == 0, err
             outs.append([(out / f).read_bytes() for f in ("estimate.json", "estimate.csv")])
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("suffix", ["csv", "bin"])
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf],
+                             ids=["finite", "nan", "+inf", "-inf"])
+    def test_read_series_is_checked_once(self, tmp_path, capsys, monkeypatch, suffix, bad):
+        # the readers only parse; estimate_series runs the finite rule once
+        values = np.random.default_rng(4).standard_normal((2, 256))
+        if bad is not None:
+            values[1, 100] = bad
+        path = tmp_path / f"y.{suffix}"
+        (write_series_csv if suffix == "csv" else write_series_binary)(values, path)
+        calls = []
+
+        def spy(values):
+            calls.append(values)
+            return check_series(values)
+        for module in (series_module, estimators, cli):
+            monkeypatch.setattr(module, "check_series", spy)
+        out = tmp_path / "out"
+        code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),
+                            "--data", str(path), "--out", str(out)], capsys)
+        assert len(calls) == 1
+        if bad is None:
+            assert code == 0, err
+        else:
+            assert (code, err) == (3, '{"code": 3, "error": "series contains non-finite '
+                                      'entries"}\n')
+            assert not out.exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "out"

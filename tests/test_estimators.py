@@ -389,7 +389,7 @@ class TestEstimateSeries:
         write_result_csv(result, csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "i,ell_hat,delta,flagged"
-        assert len(lines) == 1 + result.p
+        assert len(lines) == 1 + result.ell_hat.size
         doc = result_to_json(result)
         assert doc["octaves"] == [2, 5]
         assert len(doc["h_hat"]) == 1

@@ -15,7 +15,7 @@ from eigenwave.config import build_mc_config, preset_config, resolve_config
 from eigenwave.montecarlo import draw_observation
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 SynthesisDiagnostics, _arma_block_operators,
-                                _arma_burn_in, _arma_filter, _circulant_spectrum,
+                                _arma_filter, _circulant_spectrum,
                                 _embedding_root, _factor_embedding_root,
                                 assemble_observations, cumulative_path,
                                 fgn_cross_covariance, make_mixing_matrix,
@@ -429,7 +429,7 @@ class TestNoise:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_arma_filters_the_scaled_draw_bit_for_bit(self, seed):
         spec = NoiseSpec("arma", variance=2.5, ar=(0.6,), ma=(0.3,))
-        burn = _arma_burn_in(spec)
+        burn = spec.burn_in
         eps = np.sqrt(2.5) * np.random.default_rng(seed).standard_normal((3, 257 + burn))
         _arma_filter(eps, spec.ar, spec.ma)
         z = synthesize_noise(spec, 3, 257, np.random.default_rng(seed))
@@ -464,6 +464,48 @@ class TestNoise:
         with pytest.raises(ValueError, match="nonstationary"):
             NoiseSpec("arma", ar=(0.5, 0.5))  # root on the unit circle
 
+    @pytest.mark.parametrize("spec, burn_in", [
+        (NoiseSpec("iid_gaussian"), 0),
+        (NoiseSpec("none"), 0),
+        (NoiseSpec("arma", ar=(0.6,), ma=(0.3,)), 512),
+        (NoiseSpec("arma", ar=(0.998,)), 5011),
+        (NoiseSpec("arma", ar=(0.99999,)), 1_000_011),
+    ], ids=["iid", "none", "arma11", "ar-0.998", "ar-0.99999"])
+    def test_burn_in(self, spec, burn_in):
+        assert spec.burn_in == burn_in
+
+    def test_burn_in_is_derived_not_given(self):
+        with pytest.raises(TypeError, match="burn_in"):
+            NoiseSpec("arma", ar=(0.6,), burn_in=8)
+
+    def test_burn_in_over_the_limit_rejected(self):
+        with pytest.raises(ValueError) as err:
+            NoiseSpec("arma", ar=(0.9999999999,))
+        assert str(err.value) == (
+            "ARMA burn-in of 99999991736 samples exceeds the limit of 1048576: an AR root "
+            "within about 1e-5 of the unit circle, or over 10^5 coefficients")
+
+    def test_ar_roots_are_found_once_per_spec(self, monkeypatch):
+        # the stationarity rule and the burn-in share one np.roots; a draw
+        # reads the stored burn-in
+        calls = []
+        roots = np.roots
+
+        def spy(coefs):
+            calls.append(coefs)
+            return roots(coefs)
+
+        monkeypatch.setattr(np, "roots", spy)
+        spec = NoiseSpec("arma", variance=2.0, ar=(0.5, -0.2), ma=(0.3,))
+        assert len(calls) == 1
+        NoiseSpec("arma", ma=(0.3,))
+        NoiseSpec("iid_gaussian")
+        assert len(calls) == 1
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            synthesize_noise(spec, 2, 300, rng)
+        assert len(calls) == 1
+
 
 ARMA_ORDERS = {
     "none": ((), ()),
@@ -474,7 +516,7 @@ ARMA_ORDERS = {
     "arma11": ((0.6,), (0.3,)),
     "arma23": ((0.5, -0.3), (0.2, 0.1, -0.4)),
     "ar-0.95": ((0.95,), ()),
-    "ar-0.998": ((0.998,), ()),  # burn-in of 5010 samples, longer than a chunk
+    "ar-0.998": ((0.998,), ()),  # burn-in of 5011 samples, longer than a chunk
     # orders above the block length make the blocks that long
     "long-orders": ((0.02,) * 35, (0.05,) * 40),
 }
@@ -491,7 +533,7 @@ class TestArmaFilter:
     def test_noise_equals_the_loop(self, name, p, n, variance):
         ar, ma = ARMA_ORDERS[name]
         spec = NoiseSpec("arma", variance=variance, ar=ar, ma=ma)
-        burn = _arma_burn_in(spec)
+        burn = spec.burn_in
         eps = np.sqrt(variance) * np.random.default_rng(5).standard_normal((p, n + burn))
         got = synthesize_noise(spec, p, n, np.random.default_rng(5))
         assert_close(got, arma_noise_reference(eps, ar, ma)[:, burn:])
