@@ -17,7 +17,7 @@ on the fixtures when their listings diff clean, e.g.
 
 The runs keep the embedding roots they factor in DIR/.cache (their
 XDG_CACHE_HOME), outside every run directory, so the first run of each
-model is always cold. The thirty-seven runs take about 12 s on two cores. This
+model is always cold. The thirty-eight runs take about 12 s on two cores. This
 is a tool for refactors that must keep every output byte; it is not part
 of the test suite.
 """
@@ -149,6 +149,9 @@ CONFIGS = {
 
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
+    # the same study in one process, which shapes each latent path on a
+    # helper thread: every file but effective_config.json equals mc-fig4-w2's
+    "mc-fig4-w1": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "1"],
     "mc-fig4-ks": ["mc", "--config", "ks-subsets.json", "--reps", "60", "--seed", "41",
                    "--workers", "2"],
     "mc-arma-wide": ["mc", "--config", str(ROOT / "perfbench/workloads/arma-wide.json"),

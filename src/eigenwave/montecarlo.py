@@ -9,6 +9,7 @@ Kolmogorov-Smirnov decision.
 """
 from __future__ import annotations
 
+import contextvars
 import json
 from dataclasses import dataclass
 from itertools import repeat
@@ -18,8 +19,8 @@ import numpy as np
 from .estimators import estimate_series, kappa_sweep
 from .series import write_csv, write_json
 from .simulate import (MixingSpec, NoiseSpec, OfBmSpec, assemble_observations,
-                       cumulative_path, make_mixing_matrix, synthesize_noise,
-                       synthesize_ofbm_increments)
+                       cumulative_path, draw_latent_normals, make_mixing_matrix,
+                       shape_increments, synthesize_noise)
 from .special import chi2_cdf, chi2_quantile
 from .wavelets import make_filter_bank
 
@@ -70,25 +71,43 @@ class ReplicationRecord:
     clipped_energy: float
 
 
-def draw_observation(config: McConfig, index: int):
+def _shape_path(half, buffers, latent) -> None:
+    cumulative_path(shape_increments(half, *buffers), out=latent)
+
+
+def draw_observation(config: McConfig, index: int, executor=None):
     """Draw realization `index` of the study's model, Y = P X + Z, from the
     generator seeded with (master seed, index).
+
+    The generator is read on the calling thread only, in one order: the
+    latent normals, P, then Z. With a one-thread executor, the latent path
+    is shaped on its thread while this one draws P and Z, under the caller's
+    floating-point error state; the draw is the same either way.
 
     Returns (Y, X, Z, P, synthesis diagnostics).
     """
     rng = np.random.default_rng([config.master_seed, index])
-    increments, diagnostics = synthesize_ofbm_increments(config.model, config.n, rng)
-    latent = cumulative_path(increments)
+    half, buffers, diagnostics = draw_latent_normals(config.model, config.n, rng)
+    latent = np.empty((config.model.r, config.n))
+    if executor is None or config.noise.kind == "none":
+        shaping = None
+        _shape_path(half, buffers, latent)
+    else:  # np.errstate lives in a context variable, which submit does not carry
+        shaping = executor.submit(contextvars.copy_context().run, _shape_path,
+                                  half, buffers, latent)
+    del buffers  # so they are freed once shaped, before Y is allocated
     mixing_spec = MixingSpec(config.mixing_kind, config.p, config.model.r,
                              config.mixing_matrix)
     mixing = make_mixing_matrix(mixing_spec, rng)
     noise = synthesize_noise(config.noise, config.p, config.n, rng)
+    if shaping is not None:
+        shaping.result()
     observed = assemble_observations(mixing, latent, noise)
     return observed, latent, noise, mixing, diagnostics
 
 
-def _replicate(config: McConfig, index: int) -> ReplicationRecord:
-    observed, _, _, _, diagnostics = draw_observation(config, index)
+def _replicate(config: McConfig, index: int, executor=None) -> ReplicationRecord:
+    observed, _, _, _, diagnostics = draw_observation(config, index, executor)
     filter_pair = make_filter_bank(config.family, config.n_vanishing)
     est = estimate_series(observed, filter_pair, config.j1, config.j2,
                           scheme=config.weight_scheme, floor=config.eigen_floor,
@@ -109,11 +128,17 @@ def run_replications(config: McConfig, workers: int):
 
     Generators are seeded with (master seed, index), so the records do not
     depend on the worker count; at most one worker starts per replication.
+    One process shapes each draw's latent path on one helper thread, which
+    it stops before returning; pool workers run on one thread each, and no
+    thread is started before the pool forks.
     """
     indices = range(config.replications)
     workers = min(workers, config.replications)
     if workers <= 1:
-        return [_replicate(config, i) for i in indices]
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            return [_replicate(config, i, helper) for i in indices]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     chunk = max(1, config.replications // (8 * workers))

@@ -210,7 +210,10 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
     # a replication's multi-megabyte arrays reuse heap memory: without it a
     # process that loads the fig1 root, and so frees no large temporaries,
     # takes ~4,800 page faults per replication. Under another allocator it
-    # costs one allocation.
+    # costs one allocation. The threshold is per process, but the reuse
+    # holds only because the thread that draws allocates the draw's large
+    # arrays (draw_latent_normals): the helper thread of a one-process study
+    # would allocate from a second glibc arena.
     np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)
     path, key = rootcache.entry(hurst, point_cov, n)
     root = rootcache.load(path, key, (n + 1, len(hurst), len(hurst)))
@@ -219,6 +222,63 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
         rootcache.store(path, key, *root)
     root[0].flags.writeable = False
     return root
+
+
+def _normals(shaped: np.ndarray, waves: np.ndarray):
+    """The (2n, r) normals eps and eta of a latent draw, as views of the
+    transform's output and of the shaped spectrum."""
+    r, m = waves.shape
+    return waves.reshape(m, r), shaped.reshape(-1)[: m * r].reshape(m, r)
+
+
+def draw_latent_normals(spec: OfBmSpec, n: int, rng: np.random.Generator):
+    """The part of a circulant-embedding draw of n increments that reads rng:
+    the embedding root, the draw's normals and its diagnostics.
+
+    Returns (root, buffers, diagnostics), where buffers are the arrays
+    shape_increments writes. They are allocated here, on the thread that
+    draws, and the normals eps and eta are drawn into two of them, each
+    overwritten only after it is folded. n must be a power of two.
+    """
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"n must be a power of two, got {n}")
+    r, m = spec.r, 2 * n
+    half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
+    folded, shaped, waves = np.empty((n + 1, r, 2)), np.empty((n + 1, r, 2)), np.empty((r, m))
+    for normals in _normals(shaped, waves):
+        rng.standard_normal(out=normals)
+    warning = None
+    if clip_energy > CLIP_ENERGY_TOL:
+        warning = (
+            f"circulant embedding clipped {clip_energy:.3e} relative spectral "
+            f"energy; output covariance is approximate"
+        )
+    return half, (folded, shaped, waves), SynthesisDiagnostics(clip_energy, warning)
+
+
+def shape_increments(half: np.ndarray, folded: np.ndarray, shaped: np.ndarray,
+                     waves: np.ndarray) -> np.ndarray:
+    """Shape the normals draw_latent_normals left in the buffers into the
+    r x n increments, a view of waves' first n columns. Reads no generator
+    and allocates no array of the buffers' size."""
+    m = waves.shape[1]
+    n = m // 2
+    eps, eta = _normals(shaped, waves)
+    # The increments are Re(ifft) of the draw (eps + i eta) / sqrt(2) shaped
+    # at all m frequencies, which is the irfft of the shaped draw's Hermitian
+    # part. Frequencies k and m - k share half[k], so their draws fold into
+    # one: ((eps_k + eps_{m-k}) / 2, (eta_k - eta_{m-k}) / 2) for 0 < k < n,
+    # and (eps_k, 0) at k = 0 and n, leaving the sqrt(2) in the scale.
+    folded[:, :, 0] = eps[: n + 1]
+    folded[1:n, :, 0] += eps[:n:-1]
+    np.subtract(eta[1:n], eta[:n:-1], out=folded[1:n, :, 1])
+    folded[[0, n], :, 1] = 0.0
+    folded[1:n] /= 2.0
+    np.matmul(half, folded, out=shaped)
+    np.fft.irfft(shaped.view(np.complex128)[..., 0].T, m, out=waves)
+    increments = waves[:, :n]
+    increments *= np.sqrt(m)
+    return increments
 
 
 def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator):
@@ -231,37 +291,15 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator)
     relative energy is reported, with a warning beyond CLIP_ENERGY_TOL.
     n must be a power of two.
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    r = spec.r
-    m = 2 * n
-    half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
-    # The increments are Re(ifft) of the draw (eps + i eta) / sqrt(2) shaped
-    # at all m frequencies, which is the irfft of the shaped draw's Hermitian
-    # part. Frequencies k and m - k share half[k], so their draws fold into
-    # one: ((eps_k + eps_{m-k}) / 2, (eta_k - eta_{m-k}) / 2) for 0 < k < n,
-    # and (eps_k, 0) at k = 0 and n, leaving the sqrt(2) in the scale.
-    eps = rng.standard_normal((m, r))
-    eta = rng.standard_normal((m, r))
-    folded = np.zeros((n + 1, r, 2))
-    folded[:, :, 0] = eps[: n + 1]
-    folded[1:n, :, 0] += eps[:n:-1]
-    folded[1:n, :, 1] = eta[1:n] - eta[:n:-1]
-    folded[1:n] /= 2.0
-    shaped = np.matmul(half, folded).view(np.complex128)[..., 0]  # (n+1, r)
-    increments = np.sqrt(m) * np.fft.irfft(shaped.T, m)[:, :n]
-    warning = None
-    if clip_energy > CLIP_ENERGY_TOL:
-        warning = (
-            f"circulant embedding clipped {clip_energy:.3e} relative spectral "
-            f"energy; output covariance is approximate"
-        )
-    return increments, SynthesisDiagnostics(clip_energy, warning)
+    half, buffers, diagnostics = draw_latent_normals(spec, n, rng)
+    # a copy, which does not keep the transform's other n columns alive
+    return shape_increments(half, *buffers).copy(), diagnostics
 
 
-def cumulative_path(increments: np.ndarray) -> np.ndarray:
-    """Integrate an increment series into the self-similar path it spans."""
-    return np.cumsum(increments, axis=1)
+def cumulative_path(increments: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Integrate an increment series into the self-similar path it spans,
+    in out when given."""
+    return np.cumsum(increments, axis=1, out=out)
 
 
 def make_mixing_matrix(spec: MixingSpec, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from eigenwave.montecarlo import (KS_SUBSET_SEED, KS_SUBSETS, draw_observation,
                                   ks_subset_average, mahalanobis_sq,
                                   run_replications, summarize)
 from eigenwave.series import check_series
-from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path,
+from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path, shape_increments,
                                 synthesize_ofbm_increments)
 from eigenwave.special import chi2_cdf, chi2_quantile
 from eigenwave.wavelets import make_filter_bank
@@ -203,11 +204,67 @@ class TestRunReplications:
         assert len({rec.seed for rec in records}) == 8
         assert len({rec.h_hat for rec in records}) == 8
 
-    def test_worker_count_invariance(self):
-        cfg = small_config(replications=6)
-        serial = run_replications(cfg, workers=1)
-        parallel = run_replications(cfg, workers=3)
-        assert serial == parallel
+    @pytest.mark.parametrize("mixing", [
+        {"kind": "canonical"}, {"kind": "random_unit_columns"},
+        {"kind": "explicit", "matrix": [[0.6, 0.0], [0.8, 0.0], [0.0, 0.6], [0.0, 0.8]]}],
+        ids=["canonical", "random", "explicit"])
+    @pytest.mark.parametrize("noise", [{"kind": "iid_gaussian", "variance": 2.5},
+                                       {"kind": "arma", "ar": [0.6], "ma": [0.3]},
+                                       {"kind": "none"}], ids=["iid", "arma", "none"])
+    def test_worker_count_invariance(self, noise, mixing):
+        # one process shapes each latent path on its helper thread, pool
+        # workers and a bare _replicate inline: the records are the same
+        cfg = small_config(replications=4, n=512, p=4, noise=noise, mixing=mixing)
+        inline = [montecarlo._replicate(cfg, i) for i in range(4)]
+        assert run_replications(cfg, workers=1) == inline
+        assert run_replications(cfg, workers=2) == inline
+
+    def test_one_process_stops_its_helper_thread(self):
+        before = threading.active_count()
+        run_replications(small_config(replications=3), workers=1)
+        assert threading.active_count() == before
+        # the ARMA filter overflows, so the first replication's finite check raises
+        overflowing = small_config(replications=3, noise={"kind": "arma", "variance": 1e300,
+                                                          "ma": [1e300]})
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            run_replications(overflowing, workers=1)
+        assert threading.active_count() == before
+
+    def test_pool_starts_no_thread_executor_before_it_forks(self, monkeypatch):
+        made = []
+
+        class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+        cfg = small_config(replications=4)
+        pooled = run_replications(cfg, workers=2)
+        assert made == []
+        assert run_replications(cfg, workers=1) == pooled
+        assert made == [1]
+
+    @pytest.mark.parametrize("state", [{"all": "ignore"}, {"over": "raise"}],
+                             ids=["ignore", "raise"])
+    def test_helper_shapes_under_the_callers_error_state(self, monkeypatch, state):
+        # np.errstate is a context variable: a helper that did not run in a
+        # copy of the caller's context would warn where the CLI ignores
+        seen = []
+
+        def spy(*args):
+            seen.append((threading.current_thread(), np.geterr()))
+            return shape_increments(*args)
+
+        monkeypatch.setattr(montecarlo, "shape_increments", spy)
+        cfg = small_config(replications=2)
+        with np.errstate(**state):
+            expected = np.geterr()
+            run_replications(cfg, workers=1)
+        assert len(seen) == 2
+        for thread, errors in seen:
+            assert thread is not threading.main_thread()
+            assert errors == expected
 
     def test_pool_starts_at_most_one_worker_per_replication(self, monkeypatch):
         started = []
