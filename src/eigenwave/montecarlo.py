@@ -89,7 +89,7 @@ def draw_observation(config: McConfig, index: int, executor=None):
     rng = np.random.default_rng([config.master_seed, index])
     half, buffers, diagnostics = draw_latent_normals(config.model, config.n, rng)
     latent = np.empty((config.model.r, config.n))
-    if executor is None or config.noise.kind == "none":
+    if executor is None:
         shaping = None
         _shape_path(half, buffers, latent)
     else:  # np.errstate lives in a context variable, which submit does not carry
