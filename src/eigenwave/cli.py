@@ -144,7 +144,7 @@ def cmd_estimate(args) -> int:
     )
     out = _out_dir(cfg)
     write_result_csv(result, out / "estimate.csv")
-    write_json(result_to_json(result), out / "estimate.json")
+    write_json(result_to_json(result, analysis), out / "estimate.json")
     write_json(cfg, out / "effective_config.json")
     return 0
 
@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # the finite check and LinAlgError report an overflowing run; numpy's
-        # warnings would print before its one JSON line, also in forked workers
+        # numpy's warnings would print before an overflowing run's one JSON
+        # line; run_replications hands this state to its helper and workers
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigError as exc:

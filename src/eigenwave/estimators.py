@@ -143,16 +143,13 @@ class EstimationResult:
     ell_hat has length p with NaN at flagged indices; delta mirrors it
     with -inf; h_hat holds the top r entries for the dimension actually
     used (supplied or estimated); weights are the slope weights of the
-    named scheme over the octaves.
+    caller's scheme over the caller's octaves.
     """
 
     ell_hat: np.ndarray
     h_hat: np.ndarray
     delta: np.ndarray
     r_hat: int
-    kappa: float
-    octaves: tuple
-    scheme: str
     weights: np.ndarray
 
 
@@ -177,7 +174,6 @@ def estimate_series(series: np.ndarray, filter_pair: FilterPair,
     r_est = effective_dimension(diag, kappa)
     h = hurst_exponents(ell, r if r is not None else r_est)
     return EstimationResult(ell_hat=ell, h_hat=h, delta=diag, r_hat=r_est,
-                            kappa=kappa, octaves=(j1, j2), scheme=scheme,
                             weights=weights)
 
 
@@ -189,14 +185,15 @@ def write_result_csv(result: EstimationResult, path) -> None:
     write_csv(path, ["i", "ell_hat", "delta", "flagged"], rows)
 
 
-def result_to_json(result: EstimationResult) -> dict:
+def result_to_json(result: EstimationResult, analysis: dict) -> dict:
+    """estimate.json: the result beside the analysis section it ran with."""
     return {
-        "octaves": list(result.octaves),
+        "octaves": [analysis["j1"], analysis["j2"]],
         "weights": {
-            "scheme": result.scheme,
+            "scheme": analysis["weights"],
             "w": [float(x) for x in result.weights],
         },
         "r_hat": result.r_hat,
-        "kappa": result.kappa,
+        "kappa": analysis["kappa"],
         "h_hat": [float(x) for x in result.h_hat],
     }

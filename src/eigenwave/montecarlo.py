@@ -10,6 +10,7 @@ Kolmogorov-Smirnov decision.
 from __future__ import annotations
 
 import contextvars
+import functools
 import json
 from dataclasses import dataclass
 from itertools import repeat
@@ -92,7 +93,7 @@ def draw_observation(config: McConfig, index: int, executor=None):
     if executor is None:
         shaping = None
         _shape_path(half, buffers, latent)
-    else:  # np.errstate lives in a context variable, which submit does not carry
+    else:  # numpy's error state lives in a context variable, which submit does not carry
         shaping = executor.submit(contextvars.copy_context().run, _shape_path,
                                   half, buffers, latent)
     del buffers  # so they are freed once shaped, before Y is allocated
@@ -130,7 +131,8 @@ def run_replications(config: McConfig, workers: int):
     depend on the worker count; at most one worker starts per replication.
     One process shapes each draw's latent path on one helper thread, which
     it stops before returning; pool workers run on one thread each, and no
-    thread is started before the pool forks.
+    thread is started before the pool. The helper and every worker, however
+    it is started, run under the caller's floating-point error state.
     """
     indices = range(config.replications)
     workers = min(workers, config.replications)
@@ -142,7 +144,8 @@ def run_replications(config: McConfig, workers: int):
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     chunk = max(1, config.replications // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=functools.partial(np.seterr, **np.geterr())) as pool:
         return list(pool.map(_replicate, repeat(config), indices, chunksize=chunk))
 
 

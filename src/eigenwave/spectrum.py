@@ -63,9 +63,8 @@ def log_eigen_spectrum(covariances, floor: float) -> LogEigenSpectrum:
         raise ValueError(f"covariance at octave {overflowed[0]} is not finite: the "
                          f"detail coefficients' second moments overflow float64")
     lam = np.linalg.eigh(np.stack([c.matrix for c in covs]))[0]
-    flags = lam < floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
+    flags = lam < floor  # every other eigenvalue is at least floor > 0
+    log2lam = np.where(flags, np.nan, np.log2(np.where(flags, 1.0, lam)))
     return LogEigenSpectrum(counts=tuple(c.n_j for c in covs),
                             log2_eigenvalues=log2lam, zero_flags=flags)
 

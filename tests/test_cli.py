@@ -745,9 +745,12 @@ def run_cli_process(argv, cwd, cache):
            "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-m", "eigenwave.cli", *argv, "--out", "out"],
                           cwd=cwd, env=env, capture_output=True, timeout=120)
-    files = {path.relative_to(cwd / "out"): path.read_bytes()
-             for path in sorted((cwd / "out").rglob("*")) if path.is_file()}
-    return proc.returncode, proc.stderr, files
+    return proc.returncode, proc.stderr, output_files(cwd / "out")
+
+
+def output_files(out):
+    return {path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 class TestRootCache:
@@ -808,15 +811,18 @@ OVERFLOWING = {
 }
 
 
+def overflowing_config(model):
+    return {"model": {"r": 2, "hurst": [0.3, 0.7], "mixing": {"kind": "random_unit_columns"},
+                      "n": 1024, "p": 4, **model},
+            "analysis": {"j1": 2, "j2": 5}, "mc": {"replications": 4}}
+
+
 @pytest.mark.parametrize("argv", [["simulate"], ["estimate"], ["mc"], ["mc", "--workers", "2"]],
                          ids=["simulate", "estimate", "mc", "mc-w2"])
 @pytest.mark.parametrize("case", OVERFLOWING)
 def test_overflow_ends_in_one_json_line(tmp_path, case, argv):
     model, message = OVERFLOWING[case]
-    doc = {"model": {"r": 2, "hurst": [0.3, 0.7], "mixing": {"kind": "random_unit_columns"},
-                     "n": 1024, "p": 4, **model},
-           "analysis": {"j1": 2, "j2": 5}, "mc": {"replications": 4}}
-    write_config(tmp_path, doc)
+    write_config(tmp_path, overflowing_config(model))
     code, stderr, files = run_cli_process([*argv, "--config", "config.json"], tmp_path,
                                           tmp_path / "cache")
     if case == "iid-noise" and argv == ["simulate"]:
@@ -827,6 +833,44 @@ def test_overflow_ends_in_one_json_line(tmp_path, case, argv):
     assert json.loads(stderr) == {"code": 3, "error": message}
     # a run that fails in its work leaves no output directory behind
     assert not (tmp_path / "out").exists() and not files
+
+
+def run_mc_started_by(method, argv, cwd):
+    """`eigenwave.cli.main(["mc", *argv, "--workers", "2", "--out", "out"])`
+    in a subprocess whose pool starts its workers by `method`; returns the
+    exit code, stderr and every output file's bytes."""
+    script = ("import multiprocessing, sys\n"
+              "from eigenwave.cli import main\n"
+              "multiprocessing.set_start_method(sys.argv[1])\n"
+              "sys.exit(main(sys.argv[2:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script, method, "mc", *argv,
+                           "--workers", "2", "--out", "out"],
+                          cwd=cwd, env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stderr, output_files(cwd / "out")
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_overflow_ends_in_one_json_line_under_every_start_method(tmp_path, method):
+    # a forkserved or spawned worker does not inherit main's error state:
+    # run_replications hands it over, or numpy's warnings reach stderr
+    model, message = OVERFLOWING["arma-noise"]
+    write_config(tmp_path, overflowing_config(model))
+    code, stderr, files = run_mc_started_by(method, ["--config", "config.json"], tmp_path)
+    assert (code, files) == (3, {})
+    assert stderr == (json.dumps({"code": 3, "error": message}) + "\n").encode()
+
+
+def test_pool_output_does_not_depend_on_the_start_method(tmp_path):
+    outputs = {}
+    for method in multiprocessing.get_all_start_methods():
+        (tmp_path / method).mkdir()
+        code, stderr, outputs[method] = run_mc_started_by(
+            method, ["--preset", "fig4", "--reps", "20", "--seed", "41"], tmp_path / method)
+        assert (code, stderr) == (0, b""), method
+    first, *rest = outputs.values()
+    assert Path("records.ndjson") in first
+    assert all(files == first for files in rest)
 
 
 @pytest.mark.parametrize("argv", [["estimate"], ["mc"], ["mc", "--workers", "2"]],

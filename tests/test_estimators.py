@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenwave import estimators
-from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, OctaveRangeError,
-                                  effective_dimension,
+from eigenwave.estimators import (COUNT_WEIGHTED, UNIFORM, EstimationResult,
+                                  OctaveRangeError, effective_dimension,
                                   estimate_series, hurst_exponents,
                                   kappa_sweep, regression_weights,
                                   scaling_diagnostic, scaling_exponents,
@@ -281,7 +282,7 @@ class TestEstimateSeries:
         fp = make_filter_bank("daubechies", 2)
         result = estimate_series(series, fp, 5, 8, **ANALYSIS, r=1)
         assert abs(result.h_hat[0] - 0.7) < 0.15
-        assert result.octaves == (5, 8)
+        assert result.weights.size == 4  # one slope weight per octave 5..8
 
     def test_infeasible_octave_reports_last_feasible(self):
         series = self._series(n=256)
@@ -379,7 +380,7 @@ class TestEstimateSeries:
         for field in ("ell_hat", "h_hat", "delta"):
             assert getattr(got, field).tobytes() == getattr(full, field).tobytes()
         assert got.weights.tobytes() == full.weights.tobytes()
-        assert (got.r_hat, got.octaves, got.scheme) == (full.r_hat, full.octaves, full.scheme)
+        assert got.r_hat == full.r_hat
 
     def test_exports(self, tmp_path):
         series = self._series(n=2048, seed=5)
@@ -390,10 +391,18 @@ class TestEstimateSeries:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "i,ell_hat,delta,flagged"
         assert len(lines) == 1 + result.ell_hat.size
-        doc = result_to_json(result)
+        analysis = {"j1": 2, "j2": 5, "weights": COUNT_WEIGHTED, "kappa": 0.3}
+        doc = result_to_json(result, analysis)
         assert doc["octaves"] == [2, 5]
+        assert (doc["weights"]["scheme"], doc["kappa"]) == (COUNT_WEIGHTED, 0.3)
         assert len(doc["h_hat"]) == 1
         assert abs(sum(doc["weights"]["w"])) < 1e-12
+
+    def test_result_holds_only_what_estimation_computes(self):
+        # the octaves, scheme and kappa are the caller's; result_to_json
+        # takes them from the analysis section
+        assert [f.name for f in dataclasses.fields(EstimationResult)] == [
+            "ell_hat", "h_hat", "delta", "r_hat", "weights"]
 
 
 # The parameters that take an analysis value, with no default in any stage

@@ -1,4 +1,6 @@
 import concurrent.futures
+import functools
+import multiprocessing
 import threading
 
 import numpy as np
@@ -266,11 +268,29 @@ class TestRunReplications:
             assert thread is not threading.main_thread()
             assert errors == expected
 
+    @pytest.mark.parametrize("state, error", [({"all": "ignore"}, ValueError),
+                                              ({"over": "raise"}, FloatingPointError)],
+                             ids=["ignore", "raise"])
+    def test_spawned_workers_run_under_the_callers_error_state(self, monkeypatch, capfd,
+                                                                state, error):
+        # a spawned worker starts from numpy's default state, which warns: the
+        # pool hands it the caller's, so the overflowing ARMA study fails alike
+        # in one process and in the pool, and prints nothing
+        spawning = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                     mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+        overflowing = small_config(replications=2, noise={"kind": "arma", "variance": 1e300,
+                                                          "ma": [1e300]})
+        for workers in (1, 2):
+            with np.errstate(**state), pytest.raises(error):
+                run_replications(overflowing, workers)
+        assert capfd.readouterr().err == ""
+
     def test_pool_starts_at_most_one_worker_per_replication(self, monkeypatch):
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 started.append(max_workers)
 
             def __enter__(self):

@@ -191,6 +191,22 @@ class TestLogEigenSpectrum:
                                              r".* overflow float64$"):
             log_eigen_spectrum(covs, FLOOR)
 
+    def test_needs_no_error_state_of_its_own(self):
+        # flagged eigenvalues, zero and negative ones among them, never reach
+        # log2, so no floating-point flag rises even where every flag raises
+        rng = np.random.default_rng(11)
+        covs = [WaveletCovariance(1, 6, np.diag([0.0, -3.5e-15, 1e-12, 0.5, 2.0, 8.0])),
+                wavelet_covariance(2, rng.standard_normal((6, 3))),
+                wavelet_covariance(3, rng.standard_normal((6, 40)))]
+        lam = np.linalg.eigh(np.stack([c.matrix for c in covs]))[0]
+        assert (lam == 0).any() and (lam < 0).any()
+        with np.errstate(all="raise"):
+            raising = log_eigen_spectrum(covs, FLOOR)
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            default = log_eigen_spectrum(covs, FLOOR)  # numpy's default state
+        assert spectrum_bytes(raising) == spectrum_bytes(default) == log2_and_flags(lam)
+        assert raising.zero_flags.sum() == 6  # three floored at octave 1, three at octave 2
+
     def test_from_pyramid_counts(self):
         rng = np.random.default_rng(7)
         series = rng.standard_normal((3, 512))
