@@ -2,8 +2,8 @@
 import os
 
 # One BLAS thread, as the CLI runs: set before anything imports numpy, whose
-# OpenBLAS reads these when it loads. Pool workers and subprocesses inherit
-# them; a value already in the environment wins.
+# OpenBLAS reads these when it loads. Subprocesses inherit them; a value
+# already in the environment wins.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

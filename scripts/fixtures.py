@@ -17,7 +17,7 @@ on the fixtures when their listings diff clean, e.g.
 
 The runs keep the embedding roots they factor in DIR/.cache (their
 XDG_CACHE_HOME), outside every run directory, so the first run of each
-model is always cold. The thirty-eight runs take about 12 s on two cores. This
+model is always cold. The thirty-nine runs take about 12 s on two cores. This
 is a tool for refactors that must keep every output byte; it is not part
 of the test suite.
 """
@@ -97,7 +97,8 @@ NOISELESS_HAAR = {
 
 # ARMA noise whose filter overflows: the draw's Y is not finite, so both
 # runs exit 3 with one JSON line on stderr, no numpy warning before it, from
-# the CLI or from the pool's workers, and leave no output directory.
+# the CLI's main thread or from a study's threads, and leave no output
+# directory.
 OVERFLOW = {**ARMA_COMPONENTS,
             "model": {**ARMA_COMPONENTS["model"],
                       "noise": {"kind": "arma", "variance": 1e300, "ma": [1e300]}}}
@@ -149,16 +150,18 @@ CONFIGS = {
 
 FIXTURES = {
     "mc-fig4-w2": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "2"],
-    # the same study in one process, which shapes each latent path on a
-    # helper thread: every file but effective_config.json equals mc-fig4-w2's
+    # the same study on one thread, which shapes each latent path on a
+    # second, and on three threads, which split the 60 replications
+    # unevenly: every file but effective_config.json equals mc-fig4-w2's
     "mc-fig4-w1": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "1"],
+    "mc-fig4-w3": ["mc", "--preset", "fig4", "--reps", "60", "--seed", "41", "--workers", "3"],
     "mc-fig4-ks": ["mc", "--config", "ks-subsets.json", "--reps", "60", "--seed", "41",
                    "--workers", "2"],
     "mc-arma-wide": ["mc", "--config", str(ROOT / "perfbench/workloads/arma-wide.json"),
                      "--reps", "4", "--seed", "3"],
     # the first fig1 run factors the embedding root into the empty cache, and
     # the next two load it: the warm run's files equal mc-fig1's, and the
-    # pool's workers each load it from disk
+    # two-thread study loads it from disk once for both threads
     "mc-fig1": ["mc", "--preset", "fig1", "--reps", "2", "--seed", "106"],
     "mc-fig1-warm": ["mc", "--preset", "fig1", "--reps", "2", "--seed", "106"],
     "mc-fig1-w2": ["mc", "--preset", "fig1", "--reps", "4", "--seed", "106", "--workers", "2"],
@@ -178,7 +181,7 @@ FIXTURES = {
     "estimate-floored-csv": ["estimate", "--config", "floored.json",
                              "--data", "simulate-floored/series_y.csv"],
     "mc-floored": ["mc", "--config", "floored.json"],
-    # three replications on four requested workers: the pool starts three
+    # three replications on four requested workers: the study starts three threads
     "mc-floored-w4": ["mc", "--config", "floored.json", "--workers", "4"],
     "simulate-arma-components": ["simulate", "--config", "arma-components.json"],
     "estimate-noiseless-haar": ["estimate", "--config", "noiseless-haar.json"],

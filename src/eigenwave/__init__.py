@@ -7,12 +7,12 @@ The rest of the library is imported from its submodules.
 """
 import os
 
-# One BLAS thread per process, set before the submodules load numpy. The
-# batched linear algebra here works on matrices of a few dozen rows, where
-# extra BLAS threads only spin beside the Monte Carlo pool's workers (which
-# fork from the CLI and inherit this); parallelism comes from --workers, and
-# a one-process study shapes each latent path on one helper thread while it
-# draws the noise. A value the user has already set wins.
+# One BLAS thread, set before the submodules load numpy. The batched linear
+# algebra here works on matrices of a few dozen rows, where extra BLAS
+# threads only spin beside the Monte Carlo study's own threads; parallelism
+# comes from --workers, and a one-thread study shapes each latent path on a
+# second thread while it draws the noise. A value the user has already set
+# wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")

@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--reps", dest="mc.replications", type=int, metavar="M",
                     help="sets mc.replications")
     mc.add_argument("--workers", type=positive_int, default=1, metavar="N",
-                    help="parallel worker processes, at least 1 (default 1)")
+                    help="threads that run replications, at least 1 (default 1)")
     return parser
 
 
@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # numpy's warnings would print before an overflowing run's one JSON
-        # line; run_replications hands this state to its helper and workers
+        # line; run_replications hands this state to each of its threads
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigError as exc:

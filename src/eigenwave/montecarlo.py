@@ -9,11 +9,9 @@ Kolmogorov-Smirnov decision.
 """
 from __future__ import annotations
 
-import contextvars
 import functools
 import json
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -81,9 +79,9 @@ def draw_observation(config: McConfig, index: int, executor=None):
     generator seeded with (master seed, index).
 
     The generator is read on the calling thread only, in one order: the
-    latent normals, P, then Z. With a one-thread executor, the latent path
-    is shaped on its thread while this one draws P and Z, under the caller's
-    floating-point error state; the draw is the same either way.
+    latent normals, P, then Z. Given an executor, the latent path is shaped
+    on one of its threads while this one draws P and Z; the draw is the
+    same either way.
 
     Returns (Y, X, Z, P, synthesis diagnostics).
     """
@@ -93,9 +91,8 @@ def draw_observation(config: McConfig, index: int, executor=None):
     if executor is None:
         shaping = None
         _shape_path(half, buffers, latent)
-    else:  # numpy's error state lives in a context variable, which submit does not carry
-        shaping = executor.submit(contextvars.copy_context().run, _shape_path,
-                                  half, buffers, latent)
+    else:
+        shaping = executor.submit(_shape_path, half, buffers, latent)
     del buffers  # so they are freed once shaped, before Y is allocated
     mixing_spec = MixingSpec(config.mixing_kind, config.p, config.model.r,
                              config.mixing_matrix)
@@ -128,25 +125,22 @@ def run_replications(config: McConfig, workers: int):
     """All replications of a study, in index order.
 
     Generators are seeded with (master seed, index), so the records do not
-    depend on the worker count; at most one worker starts per replication.
-    One process shapes each draw's latent path on one helper thread, which
-    it stops before returning; pool workers run on one thread each, and no
-    thread is started before the pool. The helper and every worker, however
-    it is started, run under the caller's floating-point error state.
+    depend on the worker count. They run on one executor of
+    min(workers, replications) threads, each under the caller's
+    floating-point error state, which is stopped before returning: with
+    one thread, it shapes each draw's latent path while this thread draws
+    the noise; with more, each thread runs whole replications. If this
+    thread raises, as on Ctrl-C, those not yet started are cancelled.
     """
+    from concurrent.futures import ThreadPoolExecutor  # at the first study, not on import
+
     indices = range(config.replications)
     workers = min(workers, config.replications)
-    if workers <= 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            return [_replicate(config, i, helper) for i in indices]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-    chunk = max(1, config.replications // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=functools.partial(np.seterr, **np.geterr())) as pool:
-        return list(pool.map(_replicate, repeat(config), indices, chunksize=chunk))
+    with ThreadPoolExecutor(max_workers=workers,
+                            initializer=functools.partial(np.seterr, **np.geterr())) as pool:
+        if workers <= 1:
+            return [_replicate(config, i, pool) for i in indices]
+        return list(pool.map(functools.partial(_replicate, config), indices))
 
 
 def mahalanobis_sq(samples) -> np.ndarray:

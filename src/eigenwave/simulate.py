@@ -8,6 +8,7 @@ absent).
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,6 +26,8 @@ _HEAP_BLOCK_BYTES = 31 << 20
 # ARMA noise is filtered in blocks of this many samples, this many at a time
 _ARMA_BLOCK = 32
 _ARMA_CHUNK = 2048
+# Held to look up the embedding root, which a study's threads load once
+_ROOT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,8 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
 
     Factored once per model and machine and kept on disk by `rootcache`; a
     process loads the exact bytes the factorization wrote, and holds the
-    last root for its later draws. Keyed on the bytes of point_cov, since
-    ndarrays do not hash; never sent to pool workers.
+    last root for its later draws, which every thread of the process
+    shares. Keyed on the bytes of point_cov, since ndarrays do not hash.
     """
     from . import rootcache  # at the first draw: importing eigenwave loads none of it
 
@@ -212,8 +215,8 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
     # takes ~4,800 page faults per replication. Under another allocator it
     # costs one allocation. The threshold is per process, but the reuse
     # holds only because the thread that draws allocates the draw's large
-    # arrays (draw_latent_normals): the helper thread of a one-process study
-    # would allocate from a second glibc arena.
+    # arrays (draw_latent_normals): the thread that shapes a one-thread
+    # study's latent path would allocate from a second glibc arena.
     np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)
     path, key = rootcache.entry(hurst, point_cov, n)
     root = rootcache.load(path, key, (n + 1, len(hurst), len(hurst)))
@@ -243,7 +246,8 @@ def draw_latent_normals(spec: OfBmSpec, n: int, rng: np.random.Generator):
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
     r, m = spec.r, 2 * n
-    half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
+    with _ROOT_LOCK:
+        half, clip_energy = _embedding_root(spec.hurst, spec.point_cov.tobytes(), n)
     folded, shaped, waves = np.empty((n + 1, r, 2)), np.empty((n + 1, r, 2)), np.empty((r, m))
     for normals in _normals(shaped, waves):
         rng.standard_normal(out=normals)

@@ -1,11 +1,13 @@
 import contextlib
 import copy
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import jsonschema
@@ -276,16 +278,17 @@ class TestMc:
 
     @pytest.mark.parametrize("model, argv, expected", [
         (None, ["--preset", "fig4", "--reps", "4"], 0),
-        # every replication is flagged, so the study fails after its pool
+        # every replication is flagged, so the study fails after its threads
         (CLIPPED_MODEL, ["--reps", "3"], 3),
     ])
     def test_no_worker_outlives_a_pooled_study(self, tmp_path, capsys, model, argv, expected):
         if model is not None:
             argv = [*argv, "--config", write_config(tmp_path, {**MINIMAL, "model": model})]
+        before = threading.active_count()
         code, _, err = run(["mc", *argv, "--workers", "2",
                             "--out", str(tmp_path / "out")], capsys)
         assert code == expected, err
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_all_flagged_study_keeps_its_records(self, tmp_path, capsys, workers):
@@ -775,7 +778,7 @@ class TestRootCache:
     def test_pool_workers_on_a_cold_cache_leave_one_entry(self, tmp_path, capsys,
                                                           monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        _embedding_root.cache_clear()  # the forked workers must not inherit a root
+        _embedding_root.cache_clear()  # the study must not find a root in memory
         argv = ["mc", "--preset", "fig4", "--reps", "4", "--seed", "41"]
         code, _, err = run([*argv, "--workers", "2", "--out", str(tmp_path / "w2")], capsys)
         assert code == 0, err
@@ -797,7 +800,7 @@ class TestRootCache:
 # Models whose numbers overflow: the noise's ARMA filter, the embedding's
 # rfft on a cold root cache, and the octave covariances. The finite check on
 # Y or on the covariances ends each run in exit 3, and numpy's warnings, the
-# pool workers' included, stay off stderr. The 1e308-variance noise itself
+# the study threads' included, stay off stderr. The 1e308-variance noise itself
 # is finite, so simulate writes its Y.
 COVARIANCE_OVERFLOW = ("covariance at octave {} is not finite: the detail "
                        "coefficients' second moments overflow float64")
@@ -833,44 +836,6 @@ def test_overflow_ends_in_one_json_line(tmp_path, case, argv):
     assert json.loads(stderr) == {"code": 3, "error": message}
     # a run that fails in its work leaves no output directory behind
     assert not (tmp_path / "out").exists() and not files
-
-
-def run_mc_started_by(method, argv, cwd):
-    """`eigenwave.cli.main(["mc", *argv, "--workers", "2", "--out", "out"])`
-    in a subprocess whose pool starts its workers by `method`; returns the
-    exit code, stderr and every output file's bytes."""
-    script = ("import multiprocessing, sys\n"
-              "from eigenwave.cli import main\n"
-              "multiprocessing.set_start_method(sys.argv[1])\n"
-              "sys.exit(main(sys.argv[2:]))\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", script, method, "mc", *argv,
-                           "--workers", "2", "--out", "out"],
-                          cwd=cwd, env=env, capture_output=True, timeout=120)
-    return proc.returncode, proc.stderr, output_files(cwd / "out")
-
-
-@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
-def test_pool_overflow_ends_in_one_json_line_under_every_start_method(tmp_path, method):
-    # a forkserved or spawned worker does not inherit main's error state:
-    # run_replications hands it over, or numpy's warnings reach stderr
-    model, message = OVERFLOWING["arma-noise"]
-    write_config(tmp_path, overflowing_config(model))
-    code, stderr, files = run_mc_started_by(method, ["--config", "config.json"], tmp_path)
-    assert (code, files) == (3, {})
-    assert stderr == (json.dumps({"code": 3, "error": message}) + "\n").encode()
-
-
-def test_pool_output_does_not_depend_on_the_start_method(tmp_path):
-    outputs = {}
-    for method in multiprocessing.get_all_start_methods():
-        (tmp_path / method).mkdir()
-        code, stderr, outputs[method] = run_mc_started_by(
-            method, ["--preset", "fig4", "--reps", "20", "--seed", "41"], tmp_path / method)
-        assert (code, stderr) == (0, b""), method
-    first, *rest = outputs.values()
-    assert Path("records.ndjson") in first
-    assert all(files == first for files in rest)
 
 
 @pytest.mark.parametrize("argv", [["estimate"], ["mc"], ["mc", "--workers", "2"]],
@@ -1339,18 +1304,50 @@ def test_import_loads_no_module_only_the_root_cache_needs():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
-def test_cli_loads_neither_jsonschema_nor_the_process_pool():
+def test_cli_loads_neither_jsonschema_nor_the_process_pool(tmp_path):
+    # a study on two workers runs them as threads of this process
     script = (
         "import sys\n"
         "import eigenwave.cli\n"
         "from eigenwave.config import PRESETS, build_mc_config, preset_config, resolve_config\n"
         "for name in PRESETS:\n"
         "    build_mc_config(resolve_config(preset_config(name)))\n"
+        "code = eigenwave.cli.main(['mc', '--preset', 'fig4', '--reps', '4', '--workers', '2',\n"
+        "                           '--out', 'out'])\n"
         "loaded = ('jsonschema', 'multiprocessing', 'concurrent.futures.process')\n"
-        "print(*(name for name in loaded if name in sys.modules))\n"
+        "print(code, *(name for name in loaded if name in sys.modules))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == ["0"]
+    assert (tmp_path / "out/records.ndjson").read_text().count("\n") == 4
+
+
+def test_an_interrupted_study_stops_at_once_and_leaves_nothing(tmp_path):
+    # Executor.map cancels the replications not yet started when the main
+    # thread raises, so Ctrl-C does not drain the study first
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-m", "eigenwave.cli", "mc", "--preset", "fig1",
+                             "--reps", "400", "--workers", "2", "--out", "out"],
+                            cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    time.sleep(2.0)
+    assert proc.poll() is None, "the study ended before the interrupt"
+    os.killpg(proc.pid, signal.SIGINT)
+    interrupted = time.monotonic()
+    try:
+        _, stderr = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert time.monotonic() - interrupted < 10
+    assert proc.returncode == -signal.SIGINT
+    assert b"KeyboardInterrupt" in stderr
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ProcessLookupError):  # nothing is left in its process group
+        os.killpg(proc.pid, 0)

@@ -1,13 +1,11 @@
 import concurrent.futures
-import functools
-import multiprocessing
 import threading
 
 import numpy as np
 import pytest
 from oracles import ks_subset_average_reference
 
-from eigenwave import estimators, montecarlo
+from eigenwave import estimators, montecarlo, rootcache, simulate
 from eigenwave.config import build_mc_config, resolve_config
 from eigenwave.estimators import OctaveRangeError, estimate_series
 from eigenwave.montecarlo import (KS_SUBSET_SEED, KS_SUBSETS, draw_observation,
@@ -214,44 +212,33 @@ class TestRunReplications:
                                        {"kind": "arma", "ar": [0.6], "ma": [0.3]},
                                        {"kind": "none"}], ids=["iid", "arma", "none"])
     def test_worker_count_invariance(self, noise, mixing):
-        # one process shapes each latent path on its helper thread, pool
-        # workers and a bare _replicate inline: the records are the same
+        # one thread shapes each latent path beside the calling thread, two
+        # run whole replications, and a bare _replicate shapes inline: the
+        # records are the same
         cfg = small_config(replications=4, n=512, p=4, noise=noise, mixing=mixing)
         inline = [montecarlo._replicate(cfg, i) for i in range(4)]
         assert run_replications(cfg, workers=1) == inline
         assert run_replications(cfg, workers=2) == inline
 
-    def test_one_process_stops_its_helper_thread(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_process_stops_its_helper_thread(self, workers):
         before = threading.active_count()
-        run_replications(small_config(replications=3), workers=1)
+        run_replications(small_config(replications=3), workers)
         assert threading.active_count() == before
         # the ARMA filter overflows, so the first replication's finite check raises
         overflowing = small_config(replications=3, noise={"kind": "arma", "variance": 1e300,
                                                           "ma": [1e300]})
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-            run_replications(overflowing, workers=1)
+            run_replications(overflowing, workers)
         assert threading.active_count() == before
 
-    def test_pool_starts_no_thread_executor_before_it_forks(self, monkeypatch):
-        made = []
-
-        class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-        cfg = small_config(replications=4)
-        pooled = run_replications(cfg, workers=2)
-        assert made == []
-        assert run_replications(cfg, workers=1) == pooled
-        assert made == [1]
-
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("state", [{"all": "ignore"}, {"over": "raise"}],
                              ids=["ignore", "raise"])
-    def test_helper_shapes_under_the_callers_error_state(self, monkeypatch, state):
-        # np.errstate is a context variable: a helper that did not run in a
-        # copy of the caller's context would warn where the CLI ignores
+    def test_helper_shapes_under_the_callers_error_state(self, monkeypatch, state, workers):
+        # np.errstate is a context variable, which a new thread does not
+        # inherit: a thread the study did not hand the caller's state would
+        # warn where the CLI ignores
         seen = []
 
         def spy(*args):
@@ -262,51 +249,51 @@ class TestRunReplications:
         cfg = small_config(replications=2)
         with np.errstate(**state):
             expected = np.geterr()
-            run_replications(cfg, workers=1)
+            run_replications(cfg, workers)
         assert len(seen) == 2
         for thread, errors in seen:
             assert thread is not threading.main_thread()
             assert errors == expected
 
-    @pytest.mark.parametrize("state, error", [({"all": "ignore"}, ValueError),
-                                              ({"over": "raise"}, FloatingPointError)],
-                             ids=["ignore", "raise"])
-    def test_spawned_workers_run_under_the_callers_error_state(self, monkeypatch, capfd,
-                                                                state, error):
-        # a spawned worker starts from numpy's default state, which warns: the
-        # pool hands it the caller's, so the overflowing ARMA study fails alike
-        # in one process and in the pool, and prints nothing
-        spawning = functools.partial(concurrent.futures.ProcessPoolExecutor,
-                                     mp_context=multiprocessing.get_context("spawn"))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
-        overflowing = small_config(replications=2, noise={"kind": "arma", "variance": 1e300,
-                                                          "ma": [1e300]})
-        for workers in (1, 2):
-            with np.errstate(**state), pytest.raises(error):
-                run_replications(overflowing, workers)
-        assert capfd.readouterr().err == ""
-
     def test_pool_starts_at_most_one_worker_per_replication(self, monkeypatch):
-        started = []
+        made, started = [], []
 
-        class InProcessPool:
-            def __init__(self, max_workers, initializer=None):
-                started.append(max_workers)
+        class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
-            def __enter__(self):
-                return self
+        def start(thread, start=threading.Thread.start):
+            started.append(thread)
+            start(thread)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(threading.Thread, "start", start)
         cfg = small_config(replications=3)
         records = run_replications(cfg, workers=10 ** 6)
-        assert started == [3]
+        assert made == [3]
+        assert 1 <= len(started) <= 3
         assert records == run_replications(cfg, workers=1)
+
+    def test_threads_load_the_root_once(self, tmp_path, monkeypatch):
+        # on a cold cache, the study's first draws all need the root at once
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        calls = []
+
+        def counting(module, name):
+            def wrapper(*args, fn=getattr(module, name)):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(rootcache, "load")
+        counting(simulate, "_factor_embedding_root")
+        simulate._embedding_root.cache_clear()
+        try:
+            run_replications(small_config(replications=4), workers=2)
+        finally:
+            simulate._embedding_root.cache_clear()
+        assert calls == ["load", "_factor_embedding_root"]
 
     def test_noiseless_identity_reduces_to_direct_estimate(self):
         # p = r, canonical mixing, no noise: the replication is exactly the
