@@ -77,11 +77,15 @@ def _check_out_dir(cfg: dict) -> None:
 
 
 def _out_dir(cfg: dict) -> Path:
+    """Create io.out_dir and write the effective config into it. Commands
+    call this after their draws and estimates, so a run that fails before
+    then leaves no directory."""
     out = Path(cfg["io"]["out_dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"io.out_dir: {exc}", path="io.out_dir")
+    write_json(cfg, out / "effective_config.json")
     return out
 
 
@@ -107,7 +111,6 @@ def cmd_simulate(args) -> int:
         _write_series(latent, "series_x", cfg, out)
         _write_series(noise, "series_z", cfg, out)
         np.savetxt(out / "mixing_p.csv", mixing, delimiter=",")
-    write_json(cfg, out / "effective_config.json")
     return 0
 
 
@@ -145,7 +148,6 @@ def cmd_estimate(args) -> int:
     out = _out_dir(cfg)
     write_result_csv(result, out / "estimate.csv")
     write_json(result_to_json(result, analysis), out / "estimate.json")
-    write_json(cfg, out / "effective_config.json")
     return 0
 
 
@@ -159,9 +161,8 @@ def cmd_mc(args) -> int:
     out = _out_dir(cfg)
     # before summarize, which fails a study whose every replication is flagged
     write_records_ndjson(records, out / "records.ndjson")
-    write_json(cfg, out / "effective_config.json")
-    truth = cfg["model"]["hurst"]
-    summary = summarize(records, kappa_grid=mc_config.kappa_grid, true_hurst=truth)
+    summary = summarize(records, kappa_grid=mc_config.kappa_grid,
+                        true_hurst=mc_config.model.hurst)
     good = [rec for rec in records if not rec.flagged]
     try:
         plot = gamma_plot(np.array([rec.h_hat for rec in good]))

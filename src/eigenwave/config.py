@@ -10,11 +10,11 @@ import copy
 import math
 import operator
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import COUNT_WEIGHTED, check_octave_range
-from .montecarlo import McConfig
 from .simulate import MixingSpec, NoiseSpec, OfBmSpec
 from .wavelets import make_filter_bank
 
@@ -259,6 +259,32 @@ def _typed(path: str, spec_type, *args, **kwargs):
         return spec_type(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}", path=path) from exc
+
+
+@dataclass(frozen=True)
+class McConfig:
+    """One Monte Carlo study: model, analysis settings and replication plan.
+
+    Only build_mc_config makes one, after checking it, so p is at least the
+    latent dimension and every replication reaches octave j2.
+    """
+
+    model: OfBmSpec
+    mixing_kind: str
+    noise: NoiseSpec
+    n: int
+    j1: int
+    j2: int
+    p: int
+    replications: int
+    master_seed: int
+    family: str
+    n_vanishing: int
+    weight_scheme: str
+    eigen_floor: float
+    kappa: float
+    kappa_grid: tuple
+    mixing_matrix: np.ndarray | None
 
 
 def build_mc_config(cfg: dict) -> McConfig:

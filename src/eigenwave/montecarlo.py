@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import McConfig
 from .estimators import estimate_series, kappa_sweep
 from .series import write_csv, write_json
-from .simulate import (MixingSpec, NoiseSpec, OfBmSpec, assemble_observations,
-                       cumulative_path, draw_latent_normals, make_mixing_matrix,
-                       shape_increments, synthesize_noise)
+from .simulate import (MixingSpec, assemble_observations, cumulative_path,
+                       draw_latent_normals, make_mixing_matrix, shape_increments,
+                       synthesize_noise)
 from .special import chi2_cdf, chi2_quantile
 from .wavelets import make_filter_bank
 
@@ -29,32 +30,6 @@ CONDITION_LIMIT = 1e12
 # ks_subset_average's plan: this many subsets, drawn from a generator of this seed
 KS_SUBSETS = 100
 KS_SUBSET_SEED = 20220521
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """One Monte Carlo study: model, analysis settings and replication plan.
-
-    Only config.build_mc_config makes one, after checking it, so p is at
-    least the latent dimension and every replication reaches octave j2.
-    """
-
-    model: OfBmSpec
-    mixing_kind: str
-    noise: NoiseSpec
-    n: int
-    j1: int
-    j2: int
-    p: int
-    replications: int
-    master_seed: int
-    family: str
-    n_vanishing: int
-    weight_scheme: str
-    eigen_floor: float
-    kappa: float
-    kappa_grid: tuple
-    mixing_matrix: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -295,13 +270,6 @@ def write_sweep_csv(rows, path) -> None:
 def write_records_ndjson(records, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for rec in records:
-            doc = {
-                "index": rec.index,
-                "seed": list(rec.seed),
-                "h_hat": list(rec.h_hat),
-                "delta": [("-inf" if np.isinf(d) else d) for d in rec.delta],
-                "r_hat": rec.r_hat,
-                "flagged": rec.flagged,
-                "clipped_energy": rec.clipped_energy,
-            }
+            doc = asdict(rec)
+            doc["delta"] = [("-inf" if np.isinf(d) else d) for d in rec.delta]
             fh.write(json.dumps(doc, sort_keys=True) + "\n")

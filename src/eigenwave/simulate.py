@@ -147,7 +147,14 @@ class SynthesisDiagnostics:
     """Embedding quality report for one circulant-embedding synthesis."""
 
     clipped_energy: float
-    warning: str | None = None
+
+    @property
+    def warning(self) -> str | None:
+        """Why the draw is approximate, if it clipped more than CLIP_ENERGY_TOL."""
+        if self.clipped_energy > CLIP_ENERGY_TOL:
+            return (f"circulant embedding clipped {self.clipped_energy:.3e} relative "
+                    f"spectral energy; output covariance is approximate")
+        return None
 
 
 def fgn_cross_covariance(h_a: float, h_b: float, sigma_ab: float, lag):
@@ -251,13 +258,7 @@ def draw_latent_normals(spec: OfBmSpec, n: int, rng: np.random.Generator):
     folded, shaped, waves = np.empty((n + 1, r, 2)), np.empty((n + 1, r, 2)), np.empty((r, m))
     for normals in _normals(shaped, waves):
         rng.standard_normal(out=normals)
-    warning = None
-    if clip_energy > CLIP_ENERGY_TOL:
-        warning = (
-            f"circulant embedding clipped {clip_energy:.3e} relative spectral "
-            f"energy; output covariance is approximate"
-        )
-    return half, (folded, shaped, waves), SynthesisDiagnostics(clip_energy, warning)
+    return half, (folded, shaped, waves), SynthesisDiagnostics(clip_energy)
 
 
 def shape_increments(half: np.ndarray, folded: np.ndarray, shaped: np.ndarray,
@@ -292,7 +293,7 @@ def synthesize_ofbm_increments(spec: OfBmSpec, n: int, rng: np.random.Generator)
     Returns (r x n increments, diagnostics). The draw is exact whenever every
     spectral matrix of the embedding is positive semidefinite; otherwise
     negative spectral eigenvalues are clipped to zero and the discarded
-    relative energy is reported, with a warning beyond CLIP_ENERGY_TOL.
+    relative energy is reported, with a warning when it is not negligible.
     n must be a power of two.
     """
     half, buffers, diagnostics = draw_latent_normals(spec, n, rng)

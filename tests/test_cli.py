@@ -22,7 +22,7 @@ from eigenwave import series as series_module
 from eigenwave.cli import main
 from eigenwave.config import (PRESETS, SCHEMA, ConfigError, build_mc_config, preset_config,
                               resolve_config)
-from eigenwave.montecarlo import draw_observation
+from eigenwave.montecarlo import draw_observation, gamma_plot, ks_subset_average
 from eigenwave.series import (check_series, read_series_binary, read_series_csv,
                               write_series_binary, write_series_csv)
 from eigenwave import rootcache
@@ -125,6 +125,17 @@ class TestSimulate:
         assert code == 0
         for name in ("series_x.csv", "series_z.csv", "mixing_p.csv"):
             assert (out / name).exists()
+
+    def test_clipped_model_warns_in_one_line(self, tmp_path, capsys):
+        doc = {**MINIMAL, "model": CLIPPED_MODEL}
+        out = tmp_path / "out"
+        code, _, err = run(["simulate", "--config", write_config(tmp_path, doc),
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        warning = draw_observation(build_mc_config(resolve_config(doc)), 0)[4].warning
+        assert warning is not None
+        assert err == json.dumps({"warning": warning}) + "\n"
+        assert (out / "series_y.csv").exists()
 
     def test_p_below_r_is_config_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(MINIMAL))
@@ -318,6 +329,30 @@ class TestMc:
         assert "skipped" in json.loads((out / "ks.json").read_text())
         assert len((out / "records.ndjson").read_text().splitlines()) == 6
 
+    def test_one_replication_is_a_study(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(["mc", "--preset", "fig4", "--reps", "1", "--out", str(out)],
+                           capsys)
+        assert code == 0, err
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["replications"], summary["h"]["std"]) == (1, [0.0, 0.0, 0.0])
+        assert list(json.loads((out / "ks.json").read_text())) == ["skipped"]
+        assert (out / "gamma_plot.csv").read_text() == "m,d2_empirical,chi2_quantile\n"
+
+    def test_ks_subsets_average_the_recorded_estimates(self, tmp_path, capsys):
+        doc = preset_config("fig4")
+        doc["io"] = {"ks_subsets": True}
+        out = tmp_path / "out"
+        code, _, err = run(["mc", "--config", write_config(tmp_path, doc), "--reps", "60",
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        records = [json.loads(line) for line in (out / "records.ndjson").read_text().splitlines()]
+        plot = gamma_plot(np.array([rec["h_hat"] for rec in records if not rec["flagged"]]))
+        subset = json.loads((out / "ks.json").read_text())["subset_average"]
+        # a quarter of the 60 replications
+        assert subset == ks_subset_average(plot.d2, plot.dof, subset_size=15)
+        assert (subset["subset_size"], subset["n_subsets"], subset["seed"]) == (15, 100, 20220521)
+
     def test_preset_and_config_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
         code, _, err = run(["mc", "--preset", "fig4", "--config", cfg], capsys)
@@ -373,6 +408,8 @@ INVALID_MODELS = {
         {"r": 2, "hurst": [0.4, 0.6], "p": 2, "point_cov": [[1.0, 2.0], [2.0, 1.0]]},
         "model"),
     "point_cov shape": ({"point_cov": [[1.0, 0.0], [0.0, 1.0]]}, "model.point_cov"),
+    "toeplitz row length": ({"point_cov": {"toeplitz": [1.0, 0.5]}},
+                            "model.point_cov.toeplitz"),
     "ar under iid noise": (
         {"noise": {"kind": "iid_gaussian", "ar": [0.5]}}, "model.noise"),
     "nonstationary AR": ({"noise": {"kind": "arma", "ar": [1.5]}}, "model.noise"),
@@ -534,6 +571,18 @@ def test_missing_model_is_config_error(tmp_path, capsys, command):
                         "--out", str(out)], capsys)
     assert code == 2, err
     assert json.loads(err.strip())["path"] == "model"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+def test_model_without_p_or_ratio_is_config_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(MINIMAL))
+    del doc["model"]["p"], doc["mc"]["ratio"]
+    out = tmp_path / "out"
+    code, _, err = run([command, "--config", write_config(tmp_path, doc),
+                        "--out", str(out)], capsys)
+    assert code == 2, err
+    assert json.loads(err.strip())["path"] == "model.p"
     assert not out.exists()
 
 
@@ -704,6 +753,19 @@ class TestEstimateData:
                             "--data", str(tmp_path / "missing.bin"), "--out", str(out)], capsys)
         assert code == 2
         assert "missing.bin" in json.loads(err.strip())["error"]
+        assert not out.exists()
+
+    def test_csv_row_of_the_wrong_width_is_numerical_error(self, tmp_path, capsys,
+                                                           series_path):
+        rows = series_path.with_suffix(".csv").read_text().splitlines()
+        rows[5] += ",0.5"
+        data = tmp_path / "y.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(["estimate", "--config", write_config(tmp_path, MINIMAL),
+                            "--data", str(data), "--out", str(out)], capsys)
+        assert code == 3, err
+        assert json.loads(err.strip())["error"].endswith("row has 3 fields, expected 2")
         assert not out.exists()
 
     def test_trailing_byte_is_json_error(self, tmp_path, capsys, series_path):
@@ -1302,6 +1364,16 @@ def test_import_loads_no_module_only_the_root_cache_needs():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_config_loads_neither_the_study_harness_nor_its_statistics():
+    script = ("import sys, eigenwave.config\n"
+              "print(*(name for name in ('eigenwave.montecarlo', 'eigenwave.special')\n"
+              "        if name in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(eigenwave.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
 
 
 def test_cli_loads_neither_jsonschema_nor_the_process_pool(tmp_path):
