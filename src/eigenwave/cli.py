@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -18,9 +19,7 @@ import numpy as np
 
 from .config import PRESETS, ConfigError, build_mc_config, preset_config, resolve_config
 from .estimators import OctaveRangeError, estimate_series, result_to_json, write_result_csv
-from .montecarlo import (draw_observation, gamma_plot, ks_subset_average,
-                         run_replications, summarize, write_gamma_csv,
-                         write_ks_json, write_records_ndjson, write_sweep_csv)
+from .montecarlo import draw_observation, run_replications, write_study
 from .series import (check_series, read_series_binary, read_series_csv, write_json,
                      write_series_binary, write_series_csv)
 from .wavelets import make_filter_bank
@@ -61,19 +60,21 @@ def _load_config(args) -> dict:
 
 
 def _check_out_dir(cfg: dict) -> None:
-    """Reject an io.out_dir that is a file, lies under one, or whose
-    nearest existing directory this process cannot write into, creating
-    nothing, so the check can run before any series is drawn or read."""
+    """Reject an io.out_dir that is a file, lies under one, cannot be looked
+    up, or whose nearest existing directory this process cannot write into,
+    creating nothing, so the check runs before any series is drawn or read."""
     out = Path(cfg["io"]["out_dir"])
     for path in (out, *out.parents):
-        if os.path.exists(path):
-            if not os.path.isdir(path):
-                raise ConfigError(f"io.out_dir: {path} is not a directory",
-                                  path="io.out_dir")
-            if not os.access(path, os.W_OK | os.X_OK):
-                raise ConfigError(f"io.out_dir: {path} is not writable",
-                                  path="io.out_dir")
-            return
+        try:
+            if not stat.S_ISDIR(os.stat(path).st_mode):
+                raise ConfigError(f"io.out_dir: {path} is not a directory", path="io.out_dir")
+        except (FileNotFoundError, NotADirectoryError, PermissionError):
+            continue  # absent, as far as this process can tell: try the parent
+        except OSError as exc:  # such as a name too long for the filesystem
+            raise ConfigError(f"io.out_dir: {exc}", path="io.out_dir")
+        if not os.access(path, os.W_OK | os.X_OK):
+            raise ConfigError(f"io.out_dir: {path} is not writable", path="io.out_dir")
+        return
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -158,29 +159,9 @@ def cmd_mc(args) -> int:
                           "analysis.r applies to estimate only", path="analysis.r")
     mc_config = build_mc_config(cfg)
     records = run_replications(mc_config, workers=args.workers)
-    out = _out_dir(cfg)
-    # before summarize, which fails a study whose every replication is flagged
-    write_records_ndjson(records, out / "records.ndjson")
-    summary = summarize(records, kappa_grid=mc_config.kappa_grid,
-                        true_hurst=mc_config.model.hurst)
-    good = [rec for rec in records if not rec.flagged]
-    try:
-        plot = gamma_plot(np.array([rec.h_hat for rec in good]))
-    except ValueError as exc:
-        # too few replications for a stable Mahalanobis covariance: skip the
-        # distributional outputs, keep the rest of the study
-        print(json.dumps({"warning": str(exc)}), file=sys.stderr)
-        write_gamma_csv(None, out / "gamma_plot.csv")
-        write_json({"skipped": str(exc)}, out / "ks.json")
-    else:
-        subset = None
-        if cfg["io"]["ks_subsets"]:
-            size = min(1250, max(1, len(good) // 4))
-            subset = ks_subset_average(plot.d2, plot.dof, subset_size=size)
-        write_gamma_csv(plot, out / "gamma_plot.csv")
-        write_ks_json(plot, out / "ks.json", subset=subset)
-    write_sweep_csv(summary["rhat_sweep"], out / "rhat_sweep.csv")
-    write_json(summary, out / "summary.json")
+    warning = write_study(records, mc_config, _out_dir(cfg), cfg["io"]["ks_subsets"])
+    if warning:
+        print(json.dumps({"warning": warning}), file=sys.stderr)
     return 0
 
 
@@ -245,7 +226,7 @@ def main(argv=None) -> int:
     except OctaveRangeError as exc:
         return _fail(EXIT_NUMERICAL,
                      f"{exc} (reduce analysis.j2 to {exc.last_feasible} or below)")
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:  # numpy's LinAlgError is one
         return _fail(EXIT_NUMERICAL, str(exc))
 
 

@@ -27,9 +27,10 @@ from .wavelets import make_filter_bank
 KS_CRITICAL_COEFF = 1.358  # asymptotic 5% two-sided critical value coefficient
 MAHALANOBIS_MIN_RATIO = 5  # refuse Gamma plots with fewer than 5r samples
 CONDITION_LIMIT = 1e12
-# ks_subset_average's plan: this many subsets, drawn from a generator of this seed
+# the subset KS plan: the subset count, the generator's seed, the largest subset
 KS_SUBSETS = 100
 KS_SUBSET_SEED = 20220521
+KS_SUBSET_MAX = 1250
 
 
 @dataclass(frozen=True)
@@ -273,3 +274,27 @@ def write_records_ndjson(records, path) -> None:
             doc = asdict(rec)
             doc["delta"] = [("-inf" if np.isinf(d) else d) for d in rec.delta]
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def write_study(records, config: McConfig, out, ks_subsets: bool) -> str | None:
+    """Write a study's files into out, records.ndjson first, as summarize fails
+    an all-flagged study; returns why a Gamma plot was refused, or None."""
+    write_records_ndjson(records, out / "records.ndjson")
+    summary = summarize(records, kappa_grid=config.kappa_grid, true_hurst=config.model.hurst)
+    good = [rec for rec in records if not rec.flagged]
+    skipped = None
+    try:
+        plot = gamma_plot(np.array([rec.h_hat for rec in good]))
+    except ValueError as exc:
+        skipped = str(exc)
+        write_gamma_csv(None, out / "gamma_plot.csv")
+        write_json({"skipped": skipped}, out / "ks.json")
+    else:
+        # gamma_plot refuses M <= 5r, so a quarter of M is at least 1
+        size = min(KS_SUBSET_MAX, len(good) // 4)
+        subset = ks_subset_average(plot.d2, plot.dof, size) if ks_subsets else None
+        write_gamma_csv(plot, out / "gamma_plot.csv")
+        write_ks_json(plot, out / "ks.json", subset=subset)
+    write_sweep_csv(summary["rhat_sweep"], out / "rhat_sweep.csv")
+    write_json(summary, out / "summary.json")
+    return skipped

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import json
 import os
 import signal
@@ -392,47 +393,61 @@ def test_explicit_matrix_row_count_is_config_error(tmp_path, capsys, command):
     assert json.loads(err.strip())["path"] == "model.mixing.matrix"
 
 
-# Each entry breaks one model rule and names the config path that reports it.
+# Each entry breaks one model rule, and names the config path that reports it
+# and a part of the message that says which rule.
 INVALID_MODELS = {
     "non-unit explicit columns": (
         {"p": 2, "mixing": {"kind": "explicit", "matrix": [[1.0], [1.0]]}},
-        "model.mixing.matrix"),
+        "model.mixing.matrix", "mixing columns must have unit norm"),
     "explicit column count": (
         {"p": 2, "mixing": {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 1.0]]}},
-        "model.mixing.matrix"),
-    "explicit without matrix": ({"p": 2, "mixing": {"kind": "explicit"}}, "model.mixing"),
+        "model.mixing.matrix", "mixing matrix shape (2, 2), expected (2, 1)"),
+    "explicit without matrix": ({"p": 2, "mixing": {"kind": "explicit"}}, "model.mixing",
+                                "explicit mixing requires a matrix"),
     "canonical with matrix": (
-        {"mixing": {"kind": "canonical", "matrix": [[1.0]]}}, "model.mixing.matrix"),
-    "decreasing hurst": ({"r": 2, "hurst": [0.6, 0.4], "p": 2}, "model"),
+        {"mixing": {"kind": "canonical", "matrix": [[1.0]]}}, "model.mixing.matrix",
+        "matrix only valid for kind='explicit'"),
+    "decreasing hurst": ({"r": 2, "hurst": [0.6, 0.4], "p": 2}, "model",
+                         "Hurst exponents must be nondecreasing"),
     "non-PSD point_cov": (
         {"r": 2, "hurst": [0.4, 0.6], "p": 2, "point_cov": [[1.0, 2.0], [2.0, 1.0]]},
-        "model"),
-    "point_cov shape": ({"point_cov": [[1.0, 0.0], [0.0, 1.0]]}, "model.point_cov"),
+        "model", "point_cov is not positive semidefinite"),
+    "zero point_cov diagonal": (
+        {"r": 2, "hurst": [0.4, 0.6], "p": 2, "point_cov": [[0.0, 0.0], [0.0, 1.0]]},
+        "model", "point_cov must have positive diagonal"),
+    "point_cov shape": ({"point_cov": [[1.0, 0.0], [0.0, 1.0]]}, "model.point_cov",
+                        "expected an 1 x 1 matrix"),
     "toeplitz row length": ({"point_cov": {"toeplitz": [1.0, 0.5]}},
-                            "model.point_cov.toeplitz"),
+                            "model.point_cov.toeplitz", "first row has 2 entries"),
     "ar under iid noise": (
-        {"noise": {"kind": "iid_gaussian", "ar": [0.5]}}, "model.noise"),
-    "nonstationary AR": ({"noise": {"kind": "arma", "ar": [1.5]}}, "model.noise"),
-    "hurst count": ({"hurst": [0.4, 0.6]}, "model.hurst"),
-    "n not a power of two": ({"n": 1000}, "model.n"),
-    "n written as a float": ({"n": 1024.0}, "model.n"),
-    "n beyond the float range": ({"n": 2 ** 1100}, "model.n"),
+        {"noise": {"kind": "iid_gaussian", "ar": [0.5]}}, "model.noise",
+        "ar/ma coefficients only valid for kind='arma'"),
+    "nonstationary AR": ({"noise": {"kind": "arma", "ar": [1.5]}}, "model.noise",
+                         "nonstationary AR polynomial"),
+    "hurst count": ({"hurst": [0.4, 0.6]}, "model.hurst", "expected 1 exponents for r=1"),
+    "n not a power of two": ({"n": 1000}, "model.n", "must be a power of two"),
+    "n written as a float": ({"n": 1024.0}, "model.n", "is not of type 'integer'"),
+    "n beyond the float range": ({"n": 2 ** 1100}, "model.n",
+                                 f"is greater than the maximum of {2 ** 32}"),
     "AR root within 1e-10 of the unit circle": (
-        {"noise": {"kind": "arma", "ar": [0.9999999999]}}, "model.noise"),
+        {"noise": {"kind": "arma", "ar": [0.9999999999]}}, "model.noise",
+        "ARMA burn-in of 99999991736 samples exceeds the limit"),
 }
 
 
-@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
 @pytest.mark.parametrize("case", sorted(INVALID_MODELS))
 def test_invalid_model_is_config_error(tmp_path, capsys, command, case):
-    update, path = INVALID_MODELS[case]
+    update, path, message = INVALID_MODELS[case]
     doc = json.loads(json.dumps(MINIMAL))
     doc["model"].update(update)
     out = tmp_path / "out"
     code, _, err = run([command, "--config", write_config(tmp_path, doc),
                         "--out", str(out)], capsys)
     assert code == 2, err
-    assert json.loads(err.strip())["path"] == path
+    error = json.loads(err.strip())
+    assert error["path"] == path
+    assert error["error"].startswith(f"{path}: ") and message in error["error"]
     assert not out.exists()
 
 
@@ -507,15 +522,28 @@ def test_bad_override_is_config_error(tmp_path, capsys, monkeypatch, command, fl
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
-@pytest.mark.parametrize("out", ["afile", "afile/sub"])
-def test_out_onto_a_file_is_config_error(capsys, monkeypatch, command, out):
+@pytest.mark.parametrize("out, message", [
+    pytest.param("afile", "afile is not a directory", id="afile"),
+    pytest.param("afile/sub", "afile is not a directory", id="afile/sub"),
+    # the message mkdir would give
+    pytest.param("x" * 300, str(OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG),
+                                        "x" * 300)), id="name-too-long"),
+])
+def test_out_onto_a_file_is_config_error(capsys, monkeypatch, command, out, message):
     # rejected before any series is drawn
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a series before checking --out")
     monkeypatch.setattr("eigenwave.cli.draw_observation", no_draw)
     monkeypatch.setattr("eigenwave.cli.run_replications", no_draw)
     error = assert_rejected([command, "--preset", "fig4", "--out", out], {"afile": b"x"}, capsys)
-    assert (error["code"], error["path"]) == (2, "io.out_dir")
+    assert error == {"code": 2, "error": f"io.out_dir: {message}", "path": "io.out_dir"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+def test_unreadable_config_is_config_error(capsys, command):
+    error = assert_rejected([command, "--config", "missing.json", "--out", "out"], {}, capsys)
+    missing = OSError(errno.ENOENT, os.strerror(errno.ENOENT), "missing.json")
+    assert error == {"code": 2, "error": f"cannot read config: {missing}", "path": ""}
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])

@@ -1,4 +1,6 @@
 import concurrent.futures
+import json
+import os
 import threading
 
 import numpy as np
@@ -8,10 +10,11 @@ from oracles import ks_subset_average_reference
 from eigenwave import estimators, montecarlo, rootcache, simulate
 from eigenwave.config import build_mc_config, resolve_config
 from eigenwave.estimators import OctaveRangeError, estimate_series
-from eigenwave.montecarlo import (KS_SUBSET_SEED, KS_SUBSETS, draw_observation,
-                                  gamma_plot, ks_critical, ks_statistic,
-                                  ks_subset_average, mahalanobis_sq,
-                                  run_replications, summarize)
+from eigenwave.montecarlo import (KS_SUBSET_MAX, KS_SUBSET_SEED, KS_SUBSETS,
+                                  ReplicationRecord, draw_observation, gamma_plot,
+                                  ks_critical, ks_statistic, ks_subset_average,
+                                  mahalanobis_sq, run_replications, summarize,
+                                  write_study)
 from eigenwave.series import check_series
 from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path, shape_increments,
                                 synthesize_ofbm_increments)
@@ -406,3 +409,55 @@ class TestSummarize:
         with pytest.raises(ValueError, match="^every replication was flagged by "
                                              "synthesis diagnostics$"):
             summarize(records, kappa_grid=[0.5], true_hurst=(0.4, 0.7))
+
+
+def made_up_records(unflagged, flagged=0):
+    """Records of small_config's shape (r = 2, p = 8) with estimates drawn
+    at random, so no series is synthesized; the last `flagged` are flagged."""
+    rng = np.random.default_rng(5)
+    return [ReplicationRecord(index=i, seed=(99, i),
+                              h_hat=tuple(float(h) for h in 0.55 + 0.05 * rng.standard_normal(2)),
+                              delta=tuple(float(d) for d in rng.standard_normal(8)),
+                              r_hat=2, flagged=i >= unflagged, clipped_energy=0.0)
+            for i in range(unflagged + flagged)]
+
+
+STUDY_FILES = ["gamma_plot.csv", "ks.json", "records.ndjson", "rhat_sweep.csv", "summary.json"]
+
+
+def read_ks(out):
+    return json.loads((out / "ks.json").read_text())
+
+
+class TestWriteStudy:
+    def test_subsets_are_a_quarter_of_the_unflagged_replications(self, tmp_path):
+        # M = 5r + 1 = 11 unflagged, the fewest that get a Gamma plot; 14 // 4 would be 3
+        records = made_up_records(11, flagged=3)
+        assert write_study(records, small_config(), tmp_path, ks_subsets=True) is None
+        plot = gamma_plot(np.array([rec.h_hat for rec in records[:11]]))
+        assert read_ks(tmp_path)["subset_average"] == ks_subset_average(plot.d2, plot.dof, 2)
+        assert sorted(os.listdir(tmp_path)) == STUDY_FILES
+
+    def test_subsets_hold_at_most_ks_subset_max(self, tmp_path):
+        write_study(made_up_records(5004), small_config(), tmp_path, ks_subsets=True)
+        # 5004 // 4 = 1251
+        assert read_ks(tmp_path)["subset_average"]["subset_size"] == KS_SUBSET_MAX == 1250
+
+    def test_no_subset_average_unless_asked(self, tmp_path):
+        assert write_study(made_up_records(11), small_config(), tmp_path,
+                           ks_subsets=False) is None
+        ks = read_ks(tmp_path)
+        assert "subset_average" not in ks and ks["samples"] == 11
+
+    @pytest.mark.parametrize("unflagged", [1, 10])
+    def test_a_study_too_small_for_a_gamma_plot_skips_it(self, tmp_path, unflagged):
+        records = made_up_records(unflagged, flagged=2)
+        with pytest.raises(ValueError, match="M > 5r") as refused:
+            gamma_plot(np.array([rec.h_hat for rec in records[:unflagged]]))
+        reason = write_study(records, small_config(), tmp_path, ks_subsets=True)
+        assert reason == str(refused.value)
+        assert (tmp_path / "gamma_plot.csv").read_text() == "m,d2_empirical,chi2_quantile\n"
+        assert read_ks(tmp_path) == {"skipped": reason}
+        assert sorted(os.listdir(tmp_path)) == STUDY_FILES
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["replications"], summary["flagged"]) == (unflagged + 2, 2)

@@ -378,6 +378,28 @@ class TestRootCache:
         assert half.tobytes() == expected[0].tobytes() and clip_energy == expected[1]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
 
+    def test_a_failed_rename_leaves_no_temporary_file(self, root_cache):
+        # a directory where the root's file belongs: the load misses, and
+        # the store's final rename fails after the file is written
+        spec = FIG4_CORRELATED
+        path, _ = rootcache.entry(spec.hurst, spec.point_cov.tobytes(), 1024)
+        os.makedirs(path)
+        half, clip_energy = fresh_root(spec, 1024)
+        expected = _factor_embedding_root(spec.hurst, spec.point_cov.tobytes(), 1024)
+        assert half.tobytes() == expected[0].tobytes() and clip_energy == expected[1]
+        assert list(root_cache.iterdir()) == [Path(path)]
+        assert not any(Path(path).iterdir())
+
+    @pytest.mark.parametrize("cache_home", [None, "", "relative/cache"])
+    def test_the_default_cache_is_under_home(self, tmp_path, monkeypatch, cache_home):
+        if cache_home is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", cache_home)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        path, _ = rootcache.entry(FIG4_LIKE.hurst, FIG4_LIKE.point_cov.tobytes(), 1024)
+        assert Path(path).parent == tmp_path / ".cache" / "eigenwave"
+
 
 class TestMixing:
     def test_canonical(self):
