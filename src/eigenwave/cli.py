@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -19,9 +18,10 @@ import numpy as np
 
 from .config import PRESETS, ConfigError, build_mc_config, preset_config, resolve_config
 from .estimators import OctaveRangeError, estimate_series, result_to_json, write_result_csv
-from .montecarlo import draw_observation, run_replications, write_study
+from .montecarlo import run_replications, write_study
 from .series import (check_series, read_series_binary, read_series_csv, write_json,
                      write_series_binary, write_series_csv)
+from .simulate import draw_observation
 from .wavelets import make_filter_bank
 
 EXIT_CONFIG = 2
@@ -60,18 +60,19 @@ def _load_config(args) -> dict:
 
 
 def _check_out_dir(cfg: dict) -> None:
-    """Reject an io.out_dir that is a file, lies under one, cannot be looked
-    up, or whose nearest existing directory this process cannot write into,
+    """Reject an io.out_dir that is a file or a dangling link, lies under one,
+    cannot be looked up, or whose nearest existing directory is not writable,
     creating nothing, so the check runs before any series is drawn or read."""
     out = Path(cfg["io"]["out_dir"])
     for path in (out, *out.parents):
-        try:
-            if not stat.S_ISDIR(os.stat(path).st_mode):
-                raise ConfigError(f"io.out_dir: {path} is not a directory", path="io.out_dir")
+        try:  # lstat, as mkdir does, finds a dangling link
+            os.lstat(path)
         except (FileNotFoundError, NotADirectoryError, PermissionError):
             continue  # absent, as far as this process can tell: try the parent
-        except OSError as exc:  # such as a name too long for the filesystem
+        except (OSError, ValueError) as exc:  # a name too long, or a NUL byte
             raise ConfigError(f"io.out_dir: {exc}", path="io.out_dir")
+        if not os.path.isdir(path):
+            raise ConfigError(f"io.out_dir: {path} is not a directory", path="io.out_dir")
         if not os.access(path, os.W_OK | os.X_OK):
             raise ConfigError(f"io.out_dir: {path} is not writable", path="io.out_dir")
         return

@@ -1,11 +1,10 @@
 """Replication harness and distributional diagnostics.
 
-Runs many independent realizations of the synthesis + estimation
-pipeline with counter-based seeding (master seed, replication index), so
-results are bit-identical no matter how the work is scheduled. Joint
-Gaussianity of the exponent estimates is diagnosed with Gamma plots
-(squared Mahalanobis distances against chi-square quantiles) and a
-Kolmogorov-Smirnov decision.
+Runs many independent realizations (simulate.draw_observation) and their
+estimates, seeded by (master seed, replication index), so results are
+bit-identical no matter how the work is scheduled. Joint Gaussianity of
+the exponent estimates is diagnosed with Gamma plots (squared Mahalanobis
+distances against chi-square quantiles) and a Kolmogorov-Smirnov decision.
 """
 from __future__ import annotations
 
@@ -18,9 +17,7 @@ import numpy as np
 from .config import McConfig
 from .estimators import estimate_series, kappa_sweep
 from .series import write_csv, write_json
-from .simulate import (MixingSpec, assemble_observations, cumulative_path,
-                       draw_latent_normals, make_mixing_matrix, shape_increments,
-                       synthesize_noise)
+from .simulate import draw_observation
 from .special import chi2_cdf, chi2_quantile
 from .wavelets import make_filter_bank
 
@@ -44,40 +41,6 @@ class ReplicationRecord:
     r_hat: int
     flagged: bool
     clipped_energy: float
-
-
-def _shape_path(half, buffers, latent) -> None:
-    cumulative_path(shape_increments(half, *buffers), out=latent)
-
-
-def draw_observation(config: McConfig, index: int, executor=None):
-    """Draw realization `index` of the study's model, Y = P X + Z, from the
-    generator seeded with (master seed, index).
-
-    The generator is read on the calling thread only, in one order: the
-    latent normals, P, then Z. Given an executor, the latent path is shaped
-    on one of its threads while this one draws P and Z; the draw is the
-    same either way.
-
-    Returns (Y, X, Z, P, synthesis diagnostics).
-    """
-    rng = np.random.default_rng([config.master_seed, index])
-    half, buffers, diagnostics = draw_latent_normals(config.model, config.n, rng)
-    latent = np.empty((config.model.r, config.n))
-    if executor is None:
-        shaping = None
-        _shape_path(half, buffers, latent)
-    else:
-        shaping = executor.submit(_shape_path, half, buffers, latent)
-    del buffers  # so they are freed once shaped, before Y is allocated
-    mixing_spec = MixingSpec(config.mixing_kind, config.p, config.model.r,
-                             config.mixing_matrix)
-    mixing = make_mixing_matrix(mixing_spec, rng)
-    noise = synthesize_noise(config.noise, config.p, config.n, rng)
-    if shaping is not None:
-        shaping.result()
-    observed = assemble_observations(mixing, latent, noise)
-    return observed, latent, noise, mixing, diagnostics
 
 
 def _replicate(config: McConfig, index: int, executor=None) -> ReplicationRecord:

@@ -222,8 +222,8 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
     # takes ~4,800 page faults per replication. Under another allocator it
     # costs one allocation. The threshold is per process, but the reuse
     # holds only because the thread that draws allocates the draw's large
-    # arrays (draw_latent_normals): the thread that shapes a one-thread
-    # study's latent path would allocate from a second glibc arena.
+    # arrays (draw_latent_normals, draw_observation): the thread that shapes
+    # a one-thread study's latent path would use a second glibc arena.
     np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)
     path, key = rootcache.entry(hurst, point_cov, n)
     root = rootcache.load(path, key, (n + 1, len(hurst), len(hurst)))
@@ -397,3 +397,38 @@ def assemble_observations(mixing: np.ndarray, latent: np.ndarray,
     y = mixing @ latent
     y += noise
     return y
+
+
+def _shape_path(half, buffers, latent) -> None:
+    cumulative_path(shape_increments(half, *buffers), out=latent)
+
+
+def draw_observation(config, index: int, executor=None):
+    """Draw realization `index` of a study's model, Y = P X + Z, from the
+    generator seeded with (master seed, index); config is a config.McConfig,
+    read by field name.
+
+    The generator is read on the calling thread only, in one order: the
+    latent normals, P, then Z. Given an executor, the latent path is shaped
+    on one of its threads while this one draws P and Z; the draw is the
+    same either way.
+
+    Returns (Y, X, Z, P, synthesis diagnostics).
+    """
+    rng = np.random.default_rng([config.master_seed, index])
+    half, buffers, diagnostics = draw_latent_normals(config.model, config.n, rng)
+    latent = np.empty((config.model.r, config.n))
+    if executor is None:
+        shaping = None
+        _shape_path(half, buffers, latent)
+    else:
+        shaping = executor.submit(_shape_path, half, buffers, latent)
+    del buffers  # so they are freed once shaped, before Y is allocated
+    mixing_spec = MixingSpec(config.mixing_kind, config.p, config.model.r,
+                             config.mixing_matrix)
+    mixing = make_mixing_matrix(mixing_spec, rng)
+    noise = synthesize_noise(config.noise, config.p, config.n, rng)
+    if shaping is not None:
+        shaping.result()
+    observed = assemble_observations(mixing, latent, noise)
+    return observed, latent, noise, mixing, diagnostics

@@ -23,11 +23,11 @@ from eigenwave import series as series_module
 from eigenwave.cli import main
 from eigenwave.config import (PRESETS, SCHEMA, ConfigError, build_mc_config, preset_config,
                               resolve_config)
-from eigenwave.montecarlo import draw_observation, gamma_plot, ks_subset_average
+from eigenwave.montecarlo import gamma_plot, ks_subset_average
 from eigenwave.series import (check_series, read_series_binary, read_series_csv,
                               write_series_binary, write_series_csv)
 from eigenwave import rootcache
-from eigenwave.simulate import _embedding_root, _factor_embedding_root
+from eigenwave.simulate import _embedding_root, _factor_embedding_root, draw_observation
 
 MINIMAL = {
     "model": {
@@ -528,6 +528,11 @@ def test_bad_override_is_config_error(tmp_path, capsys, monkeypatch, command, fl
     # the message mkdir would give
     pytest.param("x" * 300, str(OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG),
                                         "x" * 300)), id="name-too-long"),
+    # only a config file can hold one, but main takes it in argv too
+    pytest.param("a\0b", "embedded null byte", id="nul-byte"),
+    # mkdir would find the link only after the run
+    pytest.param("dang", "dang is not a directory", id="dangling-link"),
+    pytest.param("dang/sub", "dang is not a directory", id="dangling-link/sub"),
 ])
 def test_out_onto_a_file_is_config_error(capsys, monkeypatch, command, out, message):
     # rejected before any series is drawn
@@ -535,8 +540,34 @@ def test_out_onto_a_file_is_config_error(capsys, monkeypatch, command, out, mess
         raise AssertionError("drew a series before checking --out")
     monkeypatch.setattr("eigenwave.cli.draw_observation", no_draw)
     monkeypatch.setattr("eigenwave.cli.run_replications", no_draw)
-    error = assert_rejected([command, "--preset", "fig4", "--out", out], {"afile": b"x"}, capsys)
+    error = assert_rejected([command, "--preset", "fig4", "--out", out],
+                            {"afile": b"x", "dang": Path("missing/x")}, capsys)
     assert error == {"code": 2, "error": f"io.out_dir: {message}", "path": "io.out_dir"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+@pytest.mark.parametrize("out", ["link", "link/sub"])
+def test_out_through_a_link_to_a_directory(tmp_path, capsys, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    Path("real").mkdir()
+    os.symlink(tmp_path / "real", "link")
+    code, _, err = run([command, "--config", write_config(tmp_path, MINIMAL), "--out", out],
+                       capsys)
+    assert code == 0, err
+    assert (Path("real") / Path(out).relative_to("link") / "effective_config.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
+def test_out_that_cannot_be_made_is_config_error(capsys, monkeypatch, command):
+    # such as a full disk, found as the run's outputs are written
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), "out")
+
+    def mkdir(self, *args, **kwargs):
+        raise full
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    error = assert_rejected([command, "--config", "c.json", "--out", "out"],
+                            {"c.json": json.dumps(MINIMAL).encode()}, capsys)
+    assert error == {"code": 2, "error": f"io.out_dir: {full}", "path": "io.out_dir"}
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "mc"])
@@ -1047,12 +1078,16 @@ class TestResolveConfig:
 
 
 def assert_rejected(argv, files, capsys):
-    """main, run in an empty directory holding only `files`, rejects argv
-    with exit 2 or 3 and a single JSON line on stderr, and writes nothing;
-    an exception escaping main fails the test. Returns the error line."""
+    """main, run in an empty directory holding only `files` (bytes, or a Path
+    for a symbolic link to it), rejects argv with exit 2 or 3 and a single
+    JSON line on stderr, and writes nothing; an exception escaping main
+    fails the test. Returns the error line."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, data in files.items():
-            Path(name).write_bytes(data)
+            if isinstance(data, Path):
+                os.symlink(data, name)
+            else:
+                Path(name).write_bytes(data)
         code, _, err = run(argv, capsys)
         left = sorted(os.listdir())
     assert code in (2, 3), err

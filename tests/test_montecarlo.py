@@ -11,13 +11,12 @@ from eigenwave import estimators, montecarlo, rootcache, simulate
 from eigenwave.config import build_mc_config, resolve_config
 from eigenwave.estimators import OctaveRangeError, estimate_series
 from eigenwave.montecarlo import (KS_SUBSET_MAX, KS_SUBSET_SEED, KS_SUBSETS,
-                                  ReplicationRecord, draw_observation, gamma_plot,
-                                  ks_critical, ks_statistic, ks_subset_average,
-                                  mahalanobis_sq, run_replications, summarize,
-                                  write_study)
+                                  ReplicationRecord, gamma_plot, ks_critical,
+                                  ks_statistic, ks_subset_average, mahalanobis_sq,
+                                  run_replications, summarize, write_study)
 from eigenwave.series import check_series
-from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path, shape_increments,
-                                synthesize_ofbm_increments)
+from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path, draw_observation,
+                                shape_increments, synthesize_ofbm_increments)
 from eigenwave.special import chi2_cdf, chi2_quantile
 from eigenwave.wavelets import make_filter_bank
 
@@ -248,7 +247,7 @@ class TestRunReplications:
             seen.append((threading.current_thread(), np.geterr()))
             return shape_increments(*args)
 
-        monkeypatch.setattr(montecarlo, "shape_increments", spy)
+        monkeypatch.setattr(simulate, "shape_increments", spy)
         cfg = small_config(replications=2)
         with np.errstate(**state):
             expected = np.geterr()

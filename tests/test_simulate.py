@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +13,13 @@ from oracles import (arma_noise_reference, circulant_spectrum_reference,
 
 from eigenwave import rootcache, simulate
 from eigenwave.config import build_mc_config, preset_config, resolve_config
-from eigenwave.montecarlo import draw_observation
 from eigenwave.simulate import (MixingSpec, NoiseSpec, OfBmSpec,
                                 _arma_block_operators, _arma_filter,
                                 _circulant_spectrum, _embedding_root,
                                 _factor_embedding_root, assemble_observations,
-                                cumulative_path, fgn_cross_covariance,
-                                make_mixing_matrix, synthesize_noise,
-                                synthesize_ofbm_increments)
+                                cumulative_path, draw_observation,
+                                fgn_cross_covariance, make_mixing_matrix,
+                                synthesize_noise, synthesize_ofbm_increments)
 
 ARMA_WIDE = Path(__file__).resolve().parent.parent / "perfbench/workloads/arma-wide.json"
 
@@ -706,3 +706,42 @@ def test_cumulative_path():
     s = np.array([[1.0, 2.0, 3.0], [1.0, -1.0, 1.0]])
     b = cumulative_path(s)
     np.testing.assert_array_equal(b, [[1.0, 3.0, 6.0], [1.0, 0.0, 1.0]])
+
+
+class TestDrawObservation:
+    """draw_observation(config, i) is the public stages run in order on the
+    generator seeded with (master seed, i): the latent path, P, then Z."""
+
+    @pytest.mark.parametrize("index", [0, 3])
+    @pytest.mark.parametrize("shaper", [None, 1], ids=["inline", "one-thread-executor"])
+    @pytest.mark.parametrize("mixing", [
+        {"kind": "canonical"},
+        {"kind": "random_unit_columns"},
+        {"kind": "explicit", "matrix": [[0.6, 0.0], [0.8, 0.6], [0.0, 0.8]]},
+    ], ids=["canonical", "random_unit_columns", "explicit"])
+    @pytest.mark.parametrize("noise", [
+        {"kind": "iid_gaussian", "variance": 2.5},
+        {"kind": "arma", "ar": [0.6], "ma": [0.3]},
+        {"kind": "none"},
+    ], ids=["iid", "arma", "none"])
+    def test_is_the_stages_in_order(self, noise, mixing, shaper, index):
+        doc = {"model": {"r": 2, "hurst": [0.35, 0.75], "n": 1024, "p": 3,
+                         "mixing": mixing, "noise": noise},
+               "analysis": {"j1": 2, "j2": 6}, "mc": {"master_seed": 17}}
+        config = build_mc_config(resolve_config(doc))
+        if shaper is None:
+            *drawn, diagnostics = draw_observation(config, index)
+        else:
+            with ThreadPoolExecutor(max_workers=shaper) as pool:
+                *drawn, diagnostics = draw_observation(config, index, pool)
+        rng = np.random.default_rng([config.master_seed, index])
+        increments, expected = synthesize_ofbm_increments(config.model, config.n, rng)
+        x = cumulative_path(increments)
+        mixing_spec = MixingSpec(config.mixing_kind, config.p, config.model.r,
+                                 config.mixing_matrix)
+        p = make_mixing_matrix(mixing_spec, rng)
+        z = synthesize_noise(config.noise, config.p, config.n, rng)
+        y = assemble_observations(p, x, z)
+        for got, want in zip(drawn, (y, x, z, p)):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert diagnostics.clipped_energy == expected.clipped_energy

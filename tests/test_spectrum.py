@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenwave.config import build_mc_config, preset_config, resolve_config
-from eigenwave.montecarlo import draw_observation
+from eigenwave.simulate import draw_observation
 from eigenwave.spectrum import WaveletCovariance, log_eigen_spectrum, wavelet_covariance
 from eigenwave.wavelets import make_filter_bank, pyramid_transform
 from oracles import jacobi_eigen
