@@ -17,7 +17,7 @@ on the fixtures when their listings diff clean, e.g.
 
 The runs keep the embedding roots they factor in DIR/.cache (their
 XDG_CACHE_HOME), outside every run directory, so the first run of each
-model is always cold. The thirty-nine runs take about 12 s on two cores. This
+model is always cold. The forty-two runs take about 13 s on two cores. This
 is a tool for refactors that must keep every output byte; it is not part
 of the test suite.
 """
@@ -95,17 +95,18 @@ NOISELESS_HAAR = {
     "mc": {"replications": 12},
 }
 
-# ARMA noise whose filter overflows: the draw's Y is not finite, so both
-# runs exit 3 with one JSON line on stderr, no numpy warning before it, from
-# the CLI's main thread or from a study's threads, and leave no output
+# ARMA noise whose filter overflows: the draw's Y is not finite, so every
+# run exits 3 with one JSON line on stderr, no numpy warning before it, from
+# the CLI's main thread, from a study's threads or from the helper thread
+# that finishes a one-thread study's row blocks, and leaves no output
 # directory.
 OVERFLOW = {**ARMA_COMPONENTS,
             "model": {**ARMA_COMPONENTS["model"],
                       "noise": {"kind": "arma", "variance": 1e300, "ma": [1e300]}}}
 
 # The fig4 model with i.i.d. noise of variance 1e308: Y is finite, but its
-# octave-4 covariance overflows, so estimate and mc exit 3 with the message
-# that names the octave, and write nothing.
+# octave-4 covariance overflows, so estimate and both mc runs exit 3 with the
+# message that names the octave, and write nothing.
 OVERFLOW_COV = {**KS_SUBSETS,
                 "model": {**KS_SUBSETS["model"],
                           "noise": {"kind": "iid_gaussian", "variance": 1e308}},
@@ -184,6 +185,9 @@ FIXTURES = {
     # three replications on four requested workers: the study starts three threads
     "mc-floored-w4": ["mc", "--config", "floored.json", "--workers", "4"],
     "simulate-arma-components": ["simulate", "--config", "arma-components.json"],
+    # the same model's study on one thread, which finishes its p = 6 rows of
+    # ARMA noise and Y in row blocks, partly on the helper thread
+    "mc-arma-components": ["mc", "--config", "arma-components.json", "--reps", "3"],
     "estimate-noiseless-haar": ["estimate", "--config", "noiseless-haar.json"],
     "mc-noiseless-haar": ["mc", "--config", "noiseless-haar.json"],
     "simulate-clipped": ["simulate", "--config", "clipped.json"],
@@ -191,8 +195,10 @@ FIXTURES = {
     "simulate-infeasible": ["simulate", "--config", "infeasible.json"],
     "mc-infeasible": ["mc", "--config", "infeasible.json", "--workers", "2"],
     "simulate-overflow": ["simulate", "--config", "overflow.json"],
+    "mc-overflow-w1": ["mc", "--config", "overflow.json", "--workers", "1"],
     "mc-overflow-w2": ["mc", "--config", "overflow.json", "--workers", "2"],
     "estimate-overflow-cov": ["estimate", "--config", "overflow-cov.json"],
+    "mc-overflow-cov-w1": ["mc", "--config", "overflow-cov.json", "--workers", "1"],
     "mc-overflow-cov-w2": ["mc", "--config", "overflow-cov.json", "--workers", "2"],
     **{f"simulate-rejected-{name}": ["simulate", "--config", f"rejected-{name}.json"]
        for name in REJECTED},

@@ -10,9 +10,9 @@ import os
 # One BLAS thread, set before the submodules load numpy. The batched linear
 # algebra here works on matrices of a few dozen rows, where extra BLAS
 # threads only spin beside the Monte Carlo study's own threads; parallelism
-# comes from --workers, and a one-thread study shapes each latent path on a
-# second thread while it draws the noise. A value the user has already set
-# wins.
+# comes from --workers, and a one-thread study hands a second thread the
+# latent shaping and the row blocks of each draw's noise filter, Y and
+# pyramid while it draws the noise. A value the user has already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")

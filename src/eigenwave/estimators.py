@@ -153,6 +153,34 @@ class EstimationResult:
     weights: np.ndarray
 
 
+def octave_details(series: np.ndarray, filter_pair: FilterPair,
+                   j1: int, j2: int) -> list:
+    """The row-wise stage of estimate_series: the series checked with
+    check_series, then its details at octaves j1..j2, each p x n_j. Each row
+    of a detail array depends only on the same row of the series."""
+    series = check_series(series)
+    check_octave_range(series.shape[1], j1, j2, filter_pair.length)
+    pyramid = pyramid_transform(series, filter_pair, j2, j_min=j1)
+    return [pyramid.detail(j) for j in range(j1, j2 + 1)]
+
+
+def estimate_octaves(details, j1: int, scheme: str, floor: float, kappa: float,
+                     r: int | None) -> EstimationResult:
+    """The whole-p stage of estimate_series, from the details at octaves j1
+    onward: per-octave covariances, eigenvalues, regression, diagnostic
+    and effective dimension."""
+    covs = [wavelet_covariance(j, d) for j, d in enumerate(details, start=j1)]
+    spectrum = log_eigen_spectrum(covs, floor=floor)
+    weights = regression_weights(j1, j1 + len(covs) - 1, counts=spectrum.counts,
+                                 scheme=scheme)
+    ell = scaling_exponents(spectrum, weights)
+    diag = scaling_diagnostic(spectrum, weights)
+    r_est = effective_dimension(diag, kappa)
+    h = hurst_exponents(ell, r if r is not None else r_est)
+    return EstimationResult(ell_hat=ell, h_hat=h, delta=diag, r_hat=r_est,
+                            weights=weights)
+
+
 def estimate_series(series: np.ndarray, filter_pair: FilterPair,
                     j1: int, j2: int, scheme: str, floor: float, kappa: float,
                     r: int | None) -> EstimationResult:
@@ -163,18 +191,8 @@ def estimate_series(series: np.ndarray, filter_pair: FilterPair,
     reported; otherwise the estimated dimension is used. The p x n series
     is checked here with check_series.
     """
-    series = check_series(series)
-    check_octave_range(series.shape[1], j1, j2, filter_pair.length)
-    pyramid = pyramid_transform(series, filter_pair, j2, j_min=j1)
-    covs = [wavelet_covariance(j, pyramid.detail(j)) for j in range(j1, j2 + 1)]
-    spectrum = log_eigen_spectrum(covs, floor=floor)
-    weights = regression_weights(j1, j2, counts=spectrum.counts, scheme=scheme)
-    ell = scaling_exponents(spectrum, weights)
-    diag = scaling_diagnostic(spectrum, weights)
-    r_est = effective_dimension(diag, kappa)
-    h = hurst_exponents(ell, r if r is not None else r_est)
-    return EstimationResult(ell_hat=ell, h_hat=h, delta=diag, r_hat=r_est,
-                            weights=weights)
+    return estimate_octaves(octave_details(series, filter_pair, j1, j2), j1,
+                            scheme=scheme, floor=floor, kappa=kappa, r=r)
 
 
 def write_result_csv(result: EstimationResult, path) -> None:

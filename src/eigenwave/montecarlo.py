@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import McConfig
-from .estimators import estimate_series, kappa_sweep
+from .estimators import estimate_octaves, kappa_sweep, octave_details
 from .series import write_csv, write_json
 from .simulate import draw_observation
 from .special import chi2_cdf, chi2_quantile
-from .wavelets import make_filter_bank
+from .wavelets import make_filter_bank, valid_count
 
 KS_CRITICAL_COEFF = 1.358  # asymptotic 5% two-sided critical value coefficient
 MAHALANOBIS_MIN_RATIO = 5  # refuse Gamma plots with fewer than 5r samples
@@ -44,11 +44,19 @@ class ReplicationRecord:
 
 
 def _replicate(config: McConfig, index: int, executor=None) -> ReplicationRecord:
-    observed, _, _, _, diagnostics = draw_observation(config, index, executor)
     filter_pair = make_filter_bank(config.family, config.n_vanishing)
-    est = estimate_series(observed, filter_pair, config.j1, config.j2,
-                          scheme=config.weight_scheme, floor=config.eigen_floor,
-                          kappa=config.kappa, r=config.model.r)
+    details = [np.empty((config.p, valid_count(config.n, j, filter_pair.length)))
+               for j in range(config.j1, config.j2 + 1)]
+
+    def analyse(block, rows):  # on the thread that completes Y's rows in block
+        for whole, part in zip(details, octave_details(rows, filter_pair,
+                                                       config.j1, config.j2)):
+            whole[block] = part
+
+    diagnostics = draw_observation(config, index, executor, analyse)[4]
+    est = estimate_octaves(details, config.j1, scheme=config.weight_scheme,
+                           floor=config.eigen_floor, kappa=config.kappa,
+                           r=config.model.r)
     return ReplicationRecord(
         index=index,
         seed=(config.master_seed, index),
@@ -66,10 +74,13 @@ def run_replications(config: McConfig, workers: int):
     Generators are seeded with (master seed, index), so the records do not
     depend on the worker count. They run on one executor of
     min(workers, replications) threads, each under the caller's
-    floating-point error state, which is stopped before returning: with
-    one thread, it shapes each draw's latent path while this thread draws
-    the noise; with more, each thread runs whole replications. If this
-    thread raises, as on Ctrl-C, those not yet started are cancelled.
+    floating-point error state, which is stopped before returning. With
+    one thread, it shapes each draw's latent path, then filters the noise,
+    forms Y and runs the pyramid for a row block at a time, while this
+    thread draws P and Z, takes the blocks it has not started and forms
+    the covariances onward. With more, each thread runs whole replications,
+    each drawn as one block. If this thread raises, as on Ctrl-C, those not
+    yet started are cancelled.
     """
     from concurrent.futures import ThreadPoolExecutor  # at the first study, not on import
 

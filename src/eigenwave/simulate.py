@@ -9,6 +9,7 @@ absent).
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,6 +27,9 @@ _HEAP_BLOCK_BYTES = 31 << 20
 # ARMA noise is filtered in blocks of this many samples, this many at a time
 _ARMA_BLOCK = 32
 _ARMA_CHUNK = 2048
+# With a helper thread, a draw's noise and Y are finished in this many row
+# blocks, each on whichever thread takes it first
+_ROW_BLOCKS = 3
 # Held to look up the embedding root, which a study's threads load once
 _ROOT_LOCK = threading.Lock()
 
@@ -222,8 +226,11 @@ def _embedding_root(hurst: tuple, point_cov: bytes, n: int):
     # takes ~4,800 page faults per replication. Under another allocator it
     # costs one allocation. The threshold is per process, but the reuse
     # holds only because the thread that draws allocates the draw's large
-    # arrays (draw_latent_normals, draw_observation): the thread that shapes
-    # a one-thread study's latent path would use a second glibc arena.
+    # arrays: the shaping buffers, the latent path, Z and Y
+    # (draw_latent_normals, draw_observation). The helper thread of a
+    # one-thread study allocates from a second glibc arena, so it allocates
+    # nothing larger than one row block's temporaries: the ARMA filter's
+    # and the pyramid's.
     np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)
     path, key = rootcache.entry(hurst, point_cov, n)
     root = rootcache.load(path, key, (n + 1, len(hurst), len(hurst)))
@@ -376,17 +383,31 @@ def _arma_filter(eps: np.ndarray, ar: tuple, ma: tuple) -> None:
         carry = carries[:, -1]
 
 
-def synthesize_noise(spec: NoiseSpec, p: int, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw p independent noise rows of length n."""
+def _noise_normals(spec: NoiseSpec, p: int, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The part of a noise draw that reads rng: p rows of scaled innovations,
+    burn-in included, or zeros for no noise. Consecutive row blocks drawn
+    from one generator equal one draw of all their rows."""
     if spec.kind == "none":
         return np.zeros((p, n))
     sd = np.sqrt(spec.variance)
     x = rng.standard_normal((p, n + spec.burn_in))
     x *= sd  # in place: the same bits as sd * x, without a second array
+    return x
+
+
+def _filter_noise(spec: NoiseSpec, x: np.ndarray) -> np.ndarray:
+    """Run the innovations through the noise model, row by row and in place,
+    and return the rows past the burn-in."""
     if spec.burn_in:
         _arma_filter(x, spec.ar, spec.ma)
     return x[:, spec.burn_in:]
+
+
+def synthesize_noise(spec: NoiseSpec, p: int, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw p independent noise rows of length n."""
+    return _filter_noise(spec, _noise_normals(spec, p, n, rng))
 
 
 def assemble_observations(mixing: np.ndarray, latent: np.ndarray,
@@ -403,17 +424,39 @@ def _shape_path(half, buffers, latent) -> None:
     cumulative_path(shape_increments(half, *buffers), out=latent)
 
 
-def draw_observation(config, index: int, executor=None):
+def _finish_next(pending, noise: NoiseSpec, observed: np.ndarray, rows) -> None:
+    """Take the oldest row block left in pending, if any, filter its noise
+    draws, add them into its rows of Y, which hold P X, and hand those rows
+    to rows, if given."""
+    try:
+        block, draws = pending.popleft()
+    except IndexError:  # the other thread took the last one
+        return
+    finished = observed[block]
+    finished += _filter_noise(noise, draws)
+    del draws  # freed here, before the rows stage, unless Z is returned
+    if rows is not None:
+        rows(block, finished)
+
+
+def draw_observation(config, index: int, executor=None, rows=None):
     """Draw realization `index` of a study's model, Y = P X + Z, from the
     generator seeded with (master seed, index); config is a config.McConfig,
     read by field name.
 
-    The generator is read on the calling thread only, in one order: the
-    latent normals, P, then Z. Given an executor, the latent path is shaped
-    on one of its threads while this one draws P and Z; the draw is the
-    same either way.
+    This thread alone reads the generator, in one order: the latent
+    normals, P, then Z in row blocks, and it allocates the draw's arrays.
+    Without an executor, Z is one block and every stage runs here. Given
+    one, its thread shapes the latent path and, once this thread has formed
+    P X into Y, finishes the drawn blocks in turn: it filters a block's
+    noise, adds it into the block's rows of Y and hands those to rows. This
+    thread finishes the blocks left once its draws are done. Every stage
+    after the draws works row by row, so the draw is the same either way.
 
-    Returns (Y, X, Z, P, synthesis diagnostics).
+    rows, if given, is called as rows(block, Y[block]) once per block, on
+    the thread that finishes it, and each block of Z is freed once
+    finished. Returns (Y, X, Z, P, synthesis diagnostics), Z None when rows
+    is given.
     """
     rng = np.random.default_rng([config.master_seed, index])
     half, buffers, diagnostics = draw_latent_normals(config.model, config.n, rng)
@@ -427,8 +470,32 @@ def draw_observation(config, index: int, executor=None):
     mixing_spec = MixingSpec(config.mixing_kind, config.p, config.model.r,
                              config.mixing_matrix)
     mixing = make_mixing_matrix(mixing_spec, rng)
-    noise = synthesize_noise(config.noise, config.p, config.n, rng)
-    if shaping is not None:
-        shaping.result()
-    observed = assemble_observations(mixing, latent, noise)
+    step = config.p if executor is None else -(-config.p // _ROW_BLOCKS)
+    blocks = [slice(lo, min(lo + step, config.p)) for lo in range(0, config.p, step)]
+    pending, kept, tasks, observed = deque(), [], [], None
+    try:
+        for count, block in enumerate(blocks, start=1):
+            draws = _noise_normals(config.noise, block.stop - block.start, config.n, rng)
+            pending.append((block, draws))
+            if rows is None:
+                kept.append(draws)
+            del draws  # so that, given rows, the block is freed once finished
+            if observed is None:
+                if shaping is not None:
+                    if not shaping.done() and count < len(blocks):
+                        continue  # draw the next block while the path is shaped
+                    shaping.result()
+                # one product: its row blocks would not give the same bits
+                observed = np.matmul(mixing, latent, out=np.empty((config.p, config.n)))
+            while executor is not None and len(tasks) < count:
+                tasks.append(executor.submit(_finish_next, pending, config.noise, observed, rows))
+        while pending:  # the blocks the helper has not started
+            _finish_next(pending, config.noise, observed, rows)
+        for task in tasks:
+            task.result()
+    finally:  # after an error, as on Ctrl-C, leave the helper no block to start
+        pending.clear()
+    noise = None
+    if rows is None:
+        noise = (kept[0] if len(kept) == 1 else np.vstack(kept))[:, config.noise.burn_in:]
     return observed, latent, noise, mixing, diagnostics

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -15,8 +16,9 @@ from eigenwave.montecarlo import (KS_SUBSET_MAX, KS_SUBSET_SEED, KS_SUBSETS,
                                   ks_statistic, ks_subset_average, mahalanobis_sq,
                                   run_replications, summarize, write_study)
 from eigenwave.series import check_series
-from eigenwave.simulate import (CLIP_ENERGY_TOL, cumulative_path, draw_observation,
-                                shape_increments, synthesize_ofbm_increments)
+from eigenwave.simulate import (CLIP_ENERGY_TOL, _arma_filter, cumulative_path,
+                                draw_observation, shape_increments,
+                                synthesize_ofbm_increments)
 from eigenwave.special import chi2_cdf, chi2_quantile
 from eigenwave.wavelets import make_filter_bank
 
@@ -222,6 +224,21 @@ class TestRunReplications:
         assert run_replications(cfg, workers=1) == inline
         assert run_replications(cfg, workers=2) == inline
 
+    def test_row_blocks_survive_a_short_switch_interval(self):
+        # the helper and this thread finish disjoint row blocks of Y and of
+        # the stacked details, p = 7 leaving a short last block: a lost or
+        # misplaced write would change a record
+        cfg = small_config(replications=12, n=512, p=7,
+                           noise={"kind": "arma", "ar": [0.6], "ma": [0.3]})
+        inline = [montecarlo._replicate(cfg, i) for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocked = run_replications(cfg, workers=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert blocked == inline
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_process_stops_its_helper_thread(self, workers):
         before = threading.active_count()
@@ -256,6 +273,39 @@ class TestRunReplications:
         for thread, errors in seen:
             assert thread is not threading.main_thread()
             assert errors == expected
+
+        # the helper filters row blocks of ARMA noise under the same state:
+        # the overflowing filter raises FloatingPointError there, or gives
+        # the non-finite Y that the pool's threads reject
+        filtered, helper_filtered = [], threading.Event()
+
+        def filter_spy(*args):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main:  # leave the helper a block of its own to filter
+                helper_filtered.wait(timeout=30)
+            try:
+                _arma_filter(*args)
+            except FloatingPointError:
+                filtered.append((on_main, np.geterr(), "raised"))
+                raise
+            else:
+                filtered.append((on_main, np.geterr(), "returned"))
+            finally:
+                if not on_main:
+                    helper_filtered.set()
+
+        monkeypatch.setattr(simulate, "_arma_filter", filter_spy)
+        overflowing = small_config(replications=2, noise={"kind": "arma", "variance": 1e300,
+                                                          "ma": [1e300]})
+        raising = state == {"over": "raise"}
+        with np.errstate(**state), pytest.raises(
+                FloatingPointError if raising else ValueError,
+                match="overflow" if raising else "non-finite"):
+            run_replications(overflowing, workers)
+        on_helper = [(errors, outcome) for on_main, errors, outcome in filtered if not on_main]
+        assert on_helper
+        assert all(errors == expected for errors, _ in on_helper)
+        assert all(outcome == ("raised" if raising else "returned") for _, outcome in on_helper)
 
     def test_pool_starts_at_most_one_worker_per_replication(self, monkeypatch):
         made, started = [], []
@@ -324,18 +374,24 @@ class TestRunReplications:
     @pytest.mark.parametrize("noise", [{"kind": "iid_gaussian", "variance": 2.5},
                                        {"kind": "arma", "ar": [0.6], "ma": [0.3]}])
     def test_a_replication_checks_only_its_observation(self, monkeypatch, noise):
-        # the draw's stages trust one another: estimate_series checks Y once
+        # the draw's stages trust one another: the row-wise stage checks each
+        # row of Y once, in one block inline or in row blocks beside a helper
         seen = []
 
         def spy(values):
-            seen.append(values)
+            seen.append((values.ctypes.data, values.copy()))
             return check_series(values)
 
         monkeypatch.setattr(estimators, "check_series", spy)
         config = small_config(noise=noise, replications=1)
-        montecarlo._replicate(config, 0)
-        [checked] = seen
-        assert checked.tobytes() == draw_observation(config, 0)[0].tobytes()
+        observed = draw_observation(config, 0)[0]
+        for helper in (False, True):
+            seen.clear()
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                montecarlo._replicate(config, 0, pool if helper else None)
+            assert (len(seen) > 1) == helper
+            checked = np.vstack([rows for _, rows in sorted(seen, key=lambda block: block[0])])
+            assert checked.tobytes() == observed.tobytes()
 
     @pytest.mark.parametrize("model", [
         {}, {"hurst": [0.1, 0.9], "point_cov": [[1.0, 0.99], [0.99, 1.0]],

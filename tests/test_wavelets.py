@@ -191,6 +191,19 @@ class TestPyramidFromJMin:
                     kept.detail(j_min - 1)
 
 
+    @pytest.mark.parametrize("family, nv", [("haar", 1), ("daubechies", 2), ("daubechies", 6)])
+    def test_row_blocks_stack_to_the_whole_pyramid(self, family, nv):
+        # a one-thread study runs the pyramid on row blocks of Y, the last
+        # shorter, and stacks their details
+        fp = make_filter_bank(family, nv)
+        y = np.cumsum(np.random.default_rng(nv).standard_normal((7, 1000)), axis=1)
+        whole = pyramid_transform(y, fp, 6, j_min=3)
+        blocks = [pyramid_transform(y[lo:lo + 3], fp, 6, j_min=3) for lo in (0, 3, 6)]
+        for j in whole.octaves:
+            stacked = np.vstack([block.detail(j) for block in blocks])
+            assert stacked.tobytes() == whole.detail(j).tobytes()
+
+
 class TestPyramid:
     def test_constant_annihilated(self):
         series = np.full((2, 256), 3.7)
